@@ -8,54 +8,60 @@ invocation of the same configuration recomputes only what is missing.
 
 Layout and protocol:
 
-* blobs live under ``<cache root>/checkpoints/<key>/<name>.json.gz`` —
-  one gzip JSON file per blob, published with an atomic ``os.replace`` from
-  a ``.tmp<pid>`` sibling, so a blob is either absent or complete (the same
-  staging/publish discipline as the study cache, collapsed to one file);
-* every blob is an envelope ``{"schema", "digest", "payload"}`` where
-  ``digest`` is the BLAKE2b hash of the canonical JSON encoding of
-  ``payload`` — :meth:`CheckpointStore.load` re-derives it and treats any
-  mismatch (bit rot, truncation, schema drift) as a miss, deleting the
-  corrupt blob so the recompute can republish;
+* blobs live under ``<cache root>/checkpoints/<key>/<name>.frame`` — one
+  :mod:`repro.store.frame` per blob, published with an atomic
+  ``os.replace`` from a ``.tmp<pid>`` sibling, so a blob is either absent
+  or complete (the same staging/publish discipline as the study cache,
+  collapsed to one file);
+* every blob's frame header carries :data:`CHECKPOINT_SCHEMA` and a
+  BLAKE2b digest of the header and column bytes —
+  :meth:`CheckpointStore.load` re-derives it and treats any mismatch (bit
+  rot, truncation, schema drift), or a frame its decoder rejects, as a
+  miss, deleting the corrupt blob so the recompute can republish;
 * checkpoints are *recovery state, not a cache*: the pipeline deletes a
   key's directory the moment the run it protected completes (its results
   then live in the study cache), and :meth:`CheckpointStore.gc` reaps
   directories that outlive ``max_age`` plus orphaned staging files.
 
-Payloads must be JSON-native (dicts, lists, strings, numbers): the digest
-is computed over ``json.dumps(payload, sort_keys=True)``, so any value that
-does not round-trip through JSON would self-invalidate on load.
-
 The stage codecs at the bottom translate the pipeline's heavy intermediates
 (arrival stream, session store + collection stats, alert list) to and from
-such payloads, reusing the study cache's record encoders so the two stores
-can never disagree about on-disk semantics.
+frames with the same record codecs the study cache writes, so the two
+stores can never disagree about on-disk semantics.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gzip
-import hashlib
-import json
-import os
 import re
 import shutil
 import time
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
-#: Bump when the blob envelope layout changes.
-CHECKPOINT_SCHEMA = 1
+from repro.obs import active_span
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.frame import Frame
+
+#: Bump when the blob layout changes.  2: blobs are frames (schema-1
+#: envelopes are never read).
+CHECKPOINT_SCHEMA = 2
+
+_SUFFIX = ".frame"
 _STAGING_RE = re.compile(r"\.tmp\d+$")
 
-
-def _digest_payload(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.blake2b(canonical, digest_size=16).hexdigest()
+T = TypeVar("T")
 
 
 @dataclass
@@ -103,66 +109,65 @@ class CheckpointStore:
     def _blob_path(self, key: str, name: str) -> Path:
         if not name or "/" in name or name.startswith("."):
             raise ValueError(f"invalid checkpoint blob name: {name!r}")
-        return self.dir_for(key) / f"{name}.json.gz"
+        return self.dir_for(key) / f"{name}{_SUFFIX}"
 
     # -- blob lifecycle ------------------------------------------------------
 
-    def save(self, key: str, name: str, payload) -> Path:
+    def save(self, key: str, name: str, frame: "Frame") -> Path:
         """Persist one blob atomically; returns its path.
 
-        The envelope (schema + payload digest) is staged in a ``.tmp<pid>``
-        sibling and published with one ``os.replace``, so a reader can never
-        observe a torn blob — only the previous one or the new one.
+        The frame is staged in a ``.tmp<pid>`` sibling and published with
+        one ``os.replace``, so a reader can never observe a torn blob —
+        only the previous one or the new one.  Traced as
+        ``checkpoint.save`` under the active span.
         """
+        from repro.store.frame import write_frame
+
         path = self._blob_path(key, name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        envelope = {
-            "schema": CHECKPOINT_SCHEMA,
-            "digest": _digest_payload(payload),
-            "created": time.time(),
-            "payload": payload,
-        }
-        try:
-            with gzip.open(staging, "wt", encoding="ascii", compresslevel=1) as handle:
-                json.dump(envelope, handle)
-            os.replace(staging, path)
-        except BaseException:
-            staging.unlink(missing_ok=True)
-            raise
+        with active_span("checkpoint.save", blob=name):
+            written = write_frame(frame, path, schema=CHECKPOINT_SCHEMA)
         self._count("saves")
-        self._count("bytes_written", path.stat().st_size)
+        self._count("bytes_written", written)
         return path
 
-    def load(self, key: str, name: str):
-        """The blob's payload, or None.
+    def load(
+        self,
+        key: str,
+        name: str,
+        decode: Optional[Callable[["Frame"], T]] = None,
+    ) -> Optional[Union["Frame", T]]:
+        """The blob's frame — or ``decode(frame)`` — or None.
 
-        A missing blob is a plain miss; an unreadable envelope, a schema
-        mismatch, or a digest mismatch counts an integrity failure, deletes
-        the blob, and is reported as a miss so the caller recomputes.
+        A missing blob is a plain miss; an unreadable frame, a schema or
+        digest mismatch, or a frame ``decode`` rejects with ``ValueError``
+        counts an integrity failure, deletes the blob, and is reported as a
+        miss so the caller recomputes.  Traced as ``checkpoint.load`` under
+        the active span.
         """
+        with active_span("checkpoint.load", blob=name) as span:
+            value = self._load(key, name, decode)
+            if span is not None:
+                span.set("hit", value is not None)
+        return value
+
+    def _load(self, key: str, name: str, decode):
+        from repro.store.frame import load_frame
+
         path = self._blob_path(key, name)
         try:
             raw_size = path.stat().st_size
-            with gzip.open(path, "rt", encoding="ascii") as handle:
-                envelope = json.load(handle)
+            frame = load_frame(path, schema=CHECKPOINT_SCHEMA)
+            value = decode(frame) if decode is not None else frame
         except FileNotFoundError:
             self._count("misses")
             return None
         except (OSError, ValueError):
             self._invalidate(path)
             return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != CHECKPOINT_SCHEMA
-            or "payload" not in envelope
-            or envelope.get("digest") != _digest_payload(envelope["payload"])
-        ):
-            self._invalidate(path)
-            return None
         self._count("hits")
         self._count("bytes_read", raw_size)
-        return envelope["payload"]
+        return value
 
     def _invalidate(self, path: Path) -> None:
         self._count("integrity_failures")
@@ -178,9 +183,9 @@ class CheckpointStore:
         if not directory.is_dir():
             return []
         return sorted(
-            child.name[: -len(".json.gz")]
+            child.name[: -len(_SUFFIX)]
             for child in directory.iterdir()
-            if child.name.endswith(".json.gz")
+            if child.name.endswith(_SUFFIX)
             and not _STAGING_RE.search(child.name)
         )
 
@@ -285,60 +290,48 @@ class CheckpointStore:
 
 # -- pipeline stage codecs ---------------------------------------------------
 #
-# The heavy stages checkpoint their outputs as JSON-native payloads through
-# the study cache's record encoders, so a stage checkpoint and a published
-# cache entry are byte-compatible views of the same records.
+# The heavy stages checkpoint their outputs as frames through the same
+# record codecs the study cache writes, so a stage checkpoint and a
+# published cache entry are byte-compatible views of the same records.
 
 
-def encode_stage_arrivals(arrivals) -> Dict[str, object]:
-    from repro.cache.study import _encode_arrival
+def encode_stage_arrivals(arrivals) -> "Frame":
+    from repro.store.frame import arrivals_frame
 
-    return {"records": [_encode_arrival(arrival) for arrival in arrivals]}
-
-
-def decode_stage_arrivals(payload) -> List["ScanArrival"]:
-    from repro.cache.study import _decode_arrival
-
-    return [_decode_arrival(record) for record in payload["records"]]
+    return arrivals_frame(arrivals)
 
 
-def encode_stage_store(store, collection_stats, ground_truth) -> Dict[str, object]:
-    from repro.cache.study import _encode_stats
-    from repro.net.pcapstore import encode_session
+def decode_stage_arrivals(frame: "Frame") -> List["ScanArrival"]:
+    from repro.store.frame import arrivals_from_frame
 
-    return {
-        "sessions": [encode_session(session) for session in store],
-        "stats": _encode_stats(collection_stats),
-        "ground_truth": {
-            str(session_id): truth
-            for session_id, truth in ground_truth.items()
-        },
-    }
+    return arrivals_from_frame(frame)
+
+
+def encode_stage_store(store, collection_stats, ground_truth) -> "Frame":
+    from repro.store.frame import store_frame
+
+    return store_frame(list(store), collection_stats, ground_truth)
 
 
 def decode_stage_store(
-    payload,
+    frame: "Frame",
 ) -> Tuple["SessionStore", "CollectionStats", Dict[int, Optional[str]]]:
-    from repro.cache.study import _decode_stats
-    from repro.net.pcapstore import SessionStore, decode_session
+    from repro.net.pcapstore import SessionStore
+    from repro.store.frame import store_from_frame
 
+    sessions, stats, ground_truth = store_from_frame(frame)
     store = SessionStore()
-    store.extend(decode_session(record) for record in payload["sessions"])
-    stats = _decode_stats(payload["stats"])
-    ground_truth = {
-        int(session_id): truth
-        for session_id, truth in payload["ground_truth"].items()
-    }
+    store.extend(sessions)
     return store, stats, ground_truth
 
 
-def encode_stage_alerts(alerts) -> Dict[str, object]:
-    from repro.cache.study import _encode_alert
+def encode_stage_alerts(alerts) -> "Frame":
+    from repro.store.frame import alerts_frame
 
-    return {"records": [_encode_alert(alert) for alert in alerts]}
+    return alerts_frame(alerts)
 
 
-def decode_stage_alerts(payload) -> List["Alert"]:
-    from repro.cache.study import _decode_alert
+def decode_stage_alerts(frame: "Frame") -> List["Alert"]:
+    from repro.store.frame import alerts_from_frame
 
-    return [_decode_alert(record) for record in payload["records"]]
+    return alerts_from_frame(frame)

@@ -1,9 +1,10 @@
 """Cache entry integrity: per-file checksums and verification.
 
 A cache entry is a directory of data files plus a ``meta.json`` completion
-marker.  The marker records, for every data file, its byte size and a
-BLAKE2b digest of its on-disk (compressed) bytes, plus the record count of
-every JSONL stream.  :func:`verify_entry` checks an entry against its own
+marker.  The marker records, for every data file (a
+:mod:`repro.store.frame`), its byte size and a BLAKE2b digest of its
+on-disk bytes, plus the record count of every stream.
+:func:`verify_entry` checks an entry against its own
 manifest; the cache calls it before trusting a hit, the publish path calls
 it (shallowly) to distinguish a *complete* concurrent entry from stale
 debris squatting on the slot, and ``repro cache verify`` exposes it to
@@ -29,12 +30,7 @@ from typing import Dict, List, Optional
 from repro.cache.fingerprint import digest_file
 
 #: The data files every complete entry contains (``meta.json`` aside).
-DATA_FILES = (
-    "arrivals.jsonl.gz",
-    "store.jsonl.gz",
-    "alerts.jsonl.gz",
-    "collection.json.gz",
-)
+DATA_FILES = ("arrivals.frame", "store.frame", "alerts.frame")
 
 
 @dataclass

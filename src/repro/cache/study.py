@@ -22,8 +22,12 @@ Durability (the publish/verify/GC protocol):
 * entries are staged in a ``<key>.tmp<pid>`` sibling directory and
   published with one atomic ``os.replace``; ``meta.json`` is written last
   inside the staging dir, so a published entry is complete by construction;
+* the data files are :mod:`repro.store.frame` frames — ``arrivals.frame``,
+  ``store.frame`` (sessions, collection statistics, ground truth) and
+  ``alerts.frame``, written by the same codecs as the stage checkpoints;
 * ``meta.json`` records a per-file BLAKE2b checksum, byte size, and record
-  count; :meth:`StudyCache.load` verifies them and evicts on any mismatch;
+  count; :meth:`StudyCache.load` verifies them, then each frame's own
+  digest, and evicts on any mismatch;
 * when the publishing rename fails because a directory already occupies the
   slot, the occupant is verified: a *complete* entry means a concurrent
   writer won an equivalent race (benign — the staging dir is dropped), while
@@ -44,14 +48,13 @@ same layout.
 from __future__ import annotations
 
 import dataclasses
-import gzip
 import hashlib
 import json
 import os
 import shutil
 import time
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -70,19 +73,19 @@ from repro.cache.integrity import (
     read_meta,
     verify_entry,
 )
-from repro.net.pcapstore import (
-    SessionStore,
-    _TIME_FORMAT,
-    decode_session,
-    encode_session,
-)
+from repro.net.pcapstore import SessionStore
 from repro.nids.ruleset import Alert
+from repro.obs import active_span
 from repro.telescope.collector import CollectionStats
 from repro.traffic.arrivals import ScanArrival
 
-#: Bump when the on-disk entry layout changes (not when pipeline code does —
-#: the code fingerprint covers that).  2: per-file checksums and record
-#: counts in ``meta.json``.
+#: Bump when the entry protocol changes (not when pipeline code does — the
+#: code fingerprint covers that).  2: per-file checksums and record counts
+#: in ``meta.json``.  The schema is folded into every study key, and the
+#: key is also the serving ETag, so a change of data-file layout alone does
+#: not bump it: the manifest names the files, and an entry whose manifest
+#: lacks any of :data:`~repro.cache.integrity.DATA_FILES` (an entry of an
+#: older layout) fails verification and is evicted like a torn one.
 CACHE_SCHEMA = 2
 
 #: How many times :meth:`StudyCache.save` will evict a stale occupant and
@@ -163,102 +166,6 @@ def study_key(config) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-# -- record serialisation ---------------------------------------------------
-
-
-def _encode_alert(alert: Alert) -> dict:
-    return {
-        "session_id": alert.session_id,
-        "timestamp": alert.timestamp.strftime(_TIME_FORMAT),
-        "sid": alert.sid,
-        "cve_id": alert.cve_id,
-        "rule_published": alert.rule_published.strftime(_TIME_FORMAT),
-        "dst_ip": alert.dst_ip,
-        "dst_port": alert.dst_port,
-        "src_ip": alert.src_ip,
-    }
-
-
-def _decode_alert(record: dict) -> Alert:
-    return Alert(
-        session_id=record["session_id"],
-        timestamp=datetime.strptime(record["timestamp"], _TIME_FORMAT),
-        sid=record["sid"],
-        cve_id=record["cve_id"],
-        rule_published=datetime.strptime(record["rule_published"], _TIME_FORMAT),
-        dst_ip=record["dst_ip"],
-        dst_port=record["dst_port"],
-        src_ip=record["src_ip"],
-    )
-
-
-def _encode_arrival(arrival: ScanArrival) -> dict:
-    import base64
-
-    return {
-        "timestamp": arrival.timestamp.strftime(_TIME_FORMAT),
-        "src_ip": arrival.src_ip,
-        "src_port": arrival.src_port,
-        "dst_port": arrival.dst_port,
-        "payload": base64.b64encode(arrival.payload).decode("ascii"),
-        "truth_cve": arrival.truth_cve,
-        "variant_sid": arrival.variant_sid,
-    }
-
-
-def _decode_arrival(record: dict) -> ScanArrival:
-    import base64
-
-    return ScanArrival(
-        timestamp=datetime.strptime(record["timestamp"], _TIME_FORMAT),
-        src_ip=record["src_ip"],
-        src_port=record["src_port"],
-        dst_port=record["dst_port"],
-        payload=base64.b64decode(record["payload"]),
-        truth_cve=record["truth_cve"],
-        variant_sid=record["variant_sid"],
-    )
-
-
-def _encode_stats(stats: CollectionStats) -> dict:
-    return {
-        "arrivals_routed": stats.arrivals_routed,
-        "sessions_captured": stats.sessions_captured,
-        "tenancies_materialised": stats.tenancies_materialised,
-        "arrivals_lost_to_preemption": stats.arrivals_lost_to_preemption,
-        "receiving_ips": sorted(stats.receiving_ips),
-        "source_ips": sorted(stats.source_ips),
-    }
-
-
-def _decode_stats(record: dict) -> CollectionStats:
-    return CollectionStats(
-        arrivals_routed=record["arrivals_routed"],
-        sessions_captured=record["sessions_captured"],
-        tenancies_materialised=record["tenancies_materialised"],
-        arrivals_lost_to_preemption=record["arrivals_lost_to_preemption"],
-        receiving_ips=set(record["receiving_ips"]),
-        source_ips=set(record["source_ips"]),
-    )
-
-
-def _write_jsonl(path: Path, records) -> int:
-    count = 0
-    with gzip.open(path, "wt", encoding="ascii", compresslevel=1) as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-            count += 1
-    return count
-
-
-def _read_jsonl(path: Path):
-    with gzip.open(path, "rt", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
 # -- the cache itself -------------------------------------------------------
 
 
@@ -275,10 +182,11 @@ class CachedStudy:
 
     def load_arrivals(self) -> List[ScanArrival]:
         """The cached arrival stream (lazy: rarely needed downstream)."""
-        return [
-            _decode_arrival(record)
-            for record in _read_jsonl(self.path / "arrivals.jsonl.gz")
-        ]
+        from repro.store.frame import arrivals_from_frame, load_frame
+
+        return arrivals_from_frame(
+            load_frame(self.path / "arrivals.frame", schema=CACHE_SCHEMA)
+        )
 
 
 @dataclass
@@ -356,8 +264,18 @@ class StudyCache:
 
         Missing, torn, and checksum-failing entries all count as misses;
         anything unusable occupying the slot is evicted so the recompute's
-        :meth:`save` can publish.
+        :meth:`save` can publish.  Traced as ``cache.load`` under the
+        active span (:func:`repro.obs.active_span`).
         """
+        with active_span("cache.load") as span:
+            cached = self._load(config)
+            if span is not None:
+                span.set("hit", cached is not None)
+        return cached
+
+    def _load(self, config) -> Optional[CachedStudy]:
+        from repro.store.frame import alerts_from_frame, load_frame, store_from_frame
+
         path = self.entry_path(config)
         if not path.exists():
             self._count("misses")
@@ -371,35 +289,25 @@ class StudyCache:
             return None
         meta = report.meta
         try:
-            store = SessionStore()
-            store.extend(
-                decode_session(record)
-                for record in _read_jsonl(path / "store.jsonl.gz")
+            sessions, stats, ground_truth = store_from_frame(
+                load_frame(path / "store.frame", schema=CACHE_SCHEMA)
             )
-            alerts = [
-                _decode_alert(record)
-                for record in _read_jsonl(path / "alerts.jsonl.gz")
-            ]
-            with gzip.open(
-                path / "collection.json.gz", "rt", encoding="ascii"
-            ) as handle:
-                collection = json.load(handle)
-            stats = _decode_stats(collection["stats"])
-            ground_truth = {
-                int(session_id): truth
-                for session_id, truth in collection["ground_truth"].items()
-            }
+            alerts = alerts_from_frame(
+                load_frame(path / "alerts.frame", schema=CACHE_SCHEMA)
+            )
             records = meta.get("records", {})
             if (
-                len(store) != records.get("sessions")
+                len(sessions) != records.get("sessions")
                 or len(alerts) != records.get("alerts")
             ):
                 raise ValueError("record counts disagree with meta.json")
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError):
             self._count("integrity_failures")
             self._count("misses")
             self._evict_dir(path)
             return None
+        store = SessionStore()
+        store.extend(sessions)
         self._count("hits")
         self._count("bytes_read", report.bytes)
         return CachedStudy(
@@ -451,70 +359,66 @@ class StudyCache:
         Best-effort by design: after the publish protocol exhausts its
         retries (possible only under pathological contention) the save is
         dropped and counted in ``telemetry.publish_failures`` — a cache
-        save must never fail an otherwise-successful study run.
+        save must never fail an otherwise-successful study run.  Traced as
+        ``cache.save`` under the active span.
         """
-        path = self.entry_path(config)
-        staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        shutil.rmtree(staging, ignore_errors=True)
-        staging.mkdir(parents=True)
-        try:
-            arrival_count = _write_jsonl(
-                staging / "arrivals.jsonl.gz",
-                (_encode_arrival(arrival) for arrival in arrivals),
-            )
-            session_count = _write_jsonl(
-                staging / "store.jsonl.gz",
-                (encode_session(session) for session in store),
-            )
-            alert_count = _write_jsonl(
-                staging / "alerts.jsonl.gz",
-                (_encode_alert(alert) for alert in alerts),
-            )
-            with gzip.open(
-                staging / "collection.json.gz", "wt", encoding="ascii",
-                compresslevel=1,
-            ) as handle:
-                json.dump(
-                    {
-                        "stats": _encode_stats(collection_stats),
-                        "ground_truth": {
-                            str(session_id): truth
-                            for session_id, truth in ground_truth.items()
-                        },
-                    },
-                    handle,
-                )
-            manifest = build_manifest(staging)
-            meta = {
-                "schema": CACHE_SCHEMA,
-                "key": path.name,
-                "code": code_fingerprint(),
-                "created": time.time(),
-                "config": {
-                    name: str(value)
-                    for name, value in semantic_config(config).items()
-                },
-                "records": {
-                    "arrivals": arrival_count,
-                    "sessions": session_count,
-                    "alerts": alert_count,
-                },
-                "files": manifest,
-            }
-            # meta.json written last: its presence marks the entry complete.
-            (staging / "meta.json").write_text(
-                json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-            )
-            if self._publish(staging, path):
-                self._count(
-                    "bytes_written",
-                    sum(int(entry["bytes"]) for entry in manifest.values()),
-                )
-        except BaseException:
+        from repro.store.frame import (
+            alerts_frame,
+            arrivals_frame,
+            store_frame,
+            write_frame,
+        )
+
+        with active_span("cache.save"):
+            path = self.entry_path(config)
+            staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
             shutil.rmtree(staging, ignore_errors=True)
-            raise
-        self._count("saves")
-        return path
+            staging.mkdir(parents=True)
+            try:
+                write_frame(
+                    arrivals_frame(arrivals), staging / "arrivals.frame",
+                    schema=CACHE_SCHEMA,
+                )
+                write_frame(
+                    store_frame(list(store), collection_stats, ground_truth),
+                    staging / "store.frame",
+                    schema=CACHE_SCHEMA,
+                )
+                write_frame(
+                    alerts_frame(alerts), staging / "alerts.frame",
+                    schema=CACHE_SCHEMA,
+                )
+                manifest = build_manifest(staging)
+                meta = {
+                    "schema": CACHE_SCHEMA,
+                    "key": path.name,
+                    "code": code_fingerprint(),
+                    "created": time.time(),
+                    "config": {
+                        name: str(value)
+                        for name, value in semantic_config(config).items()
+                    },
+                    "records": {
+                        "arrivals": len(arrivals),
+                        "sessions": len(store),
+                        "alerts": len(alerts),
+                    },
+                    "files": manifest,
+                }
+                # meta.json written last: its presence marks the entry complete.
+                (staging / "meta.json").write_text(
+                    json.dumps(meta, indent=2) + "\n", encoding="utf-8"
+                )
+                if self._publish(staging, path):
+                    self._count(
+                        "bytes_written",
+                        sum(int(entry["bytes"]) for entry in manifest.values()),
+                    )
+            except BaseException:
+                shutil.rmtree(staging, ignore_errors=True)
+                raise
+            self._count("saves")
+            return path
 
     # -- lifecycle / inspection --------------------------------------------
 

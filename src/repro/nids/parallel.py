@@ -93,7 +93,6 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from datetime import datetime
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -105,7 +104,6 @@ from typing import (
     Tuple,
 )
 
-from repro.net.pcapstore import _TIME_FORMAT
 from repro.net.session import TcpSession
 from repro.nids.arena import SessionArena
 from repro.nids.ruleset import Alert, Ruleset
@@ -319,39 +317,6 @@ def _decode_alerts(rows: List[AlertTuple]) -> List[Alert]:
             dst_ip=row[5],
             dst_port=row[6],
             src_ip=row[7],
-        )
-        for row in rows
-    ]
-
-
-def _rows_to_json(rows: List[AlertTuple]) -> List[list]:
-    """Alert tuples → JSON-native lists (timestamps to strings)."""
-    return [
-        [
-            row[0],
-            row[1].strftime(_TIME_FORMAT),
-            row[2],
-            row[3],
-            row[4].strftime(_TIME_FORMAT),
-            row[5],
-            row[6],
-            row[7],
-        ]
-        for row in rows
-    ]
-
-
-def _rows_from_json(rows: List[list]) -> List[AlertTuple]:
-    return [
-        (
-            row[0],
-            datetime.strptime(row[1], _TIME_FORMAT),
-            row[2],
-            row[3],
-            datetime.strptime(row[4], _TIME_FORMAT),
-            row[5],
-            row[6],
-            row[7],
         )
         for row in rows
     ]
@@ -704,31 +669,42 @@ class _ChunkCheckpoints:
         return f"chunk-{self._chunking}-{index:05d}"
 
     def load(self, index: int) -> Optional[ChunkResult]:
-        from repro.nids.engine import ScanTelemetry
-
-        payload = self.store.load(self.key, self._name(index))
-        if payload is None:
-            return None
-        if payload.get("bounds") != list(self.bounds[index]):
-            return None  # pragma: no cover - name folds bounds already
-        return (
-            _rows_from_json(payload["rows"]),
-            payload["scanned"],
-            ScanTelemetry.from_dict(payload["telemetry"]),
+        return self.store.load(
+            self.key, self._name(index), lambda frame: self._decode(index, frame)
         )
+
+    def _decode(self, index: int, frame) -> ChunkResult:
+        from repro.nids.engine import ScanTelemetry
+        from repro.store.frame import FrameError, alerts_from_frame
+
+        alerts = alerts_from_frame(frame, kind="chunk")
+        meta = frame.meta
+        scanned, telemetry = meta.get("scanned"), meta.get("telemetry")
+        if (
+            meta.get("bounds") != list(self.bounds[index])
+            or not isinstance(scanned, int)
+            or not isinstance(telemetry, dict)
+        ):
+            raise FrameError("chunk checkpoint lacks its bounds or telemetry")
+        return _encode_alerts(alerts), scanned, ScanTelemetry.from_dict(telemetry)
 
     def save(
         self, index: int, rows: List[AlertTuple], scanned: int, telemetry
     ) -> None:
+        from repro.store.frame import alerts_frame
+
         self.store.save(
             self.key,
             self._name(index),
-            {
-                "bounds": list(self.bounds[index]),
-                "rows": _rows_to_json(rows),
-                "scanned": scanned,
-                "telemetry": telemetry.as_dict(),
-            },
+            alerts_frame(
+                _decode_alerts(rows),
+                kind="chunk",
+                meta={
+                    "bounds": list(self.bounds[index]),
+                    "scanned": scanned,
+                    "telemetry": telemetry.as_dict(),
+                },
+            ),
         )
 
 

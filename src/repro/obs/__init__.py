@@ -36,7 +36,13 @@ from repro.obs.metrics import (
     publish_mapping,
 )
 from repro.obs.profile import StageProfiler, profiling_enabled
-from repro.obs.trace import Span, Tracer, render_span_tree, span_or_null
+from repro.obs.trace import (
+    Span,
+    Tracer,
+    active_span,
+    render_span_tree,
+    span_or_null,
+)
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -50,6 +56,7 @@ __all__ = [
     "manifests_root",
     "profiling_enabled",
     "publish_mapping",
+    "active_span",
     "render_span_tree",
     "span_or_null",
     "validate_manifest",

@@ -17,6 +17,12 @@ The tree serialises to JSON-native dicts (:meth:`Span.as_dict`) for the
 
 Span stacks are thread-local: two threads tracing on one tracer each nest
 correctly, and completed roots are collected under a lock.
+
+While a tracer has a span open, it is the *active* tracer of the current
+context, and :func:`active_span` opens a child of that span.  Library
+layers that take no tracer argument — the study cache, the checkpoint
+store — charge their work to named spans this way, so every second of a
+run lands in a span without threading a tracer through every call site.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -111,6 +118,7 @@ class Tracer:
         stack = self._stack()
         parent = stack[-1] if stack else None
         stack.append(node)
+        token = _ACTIVE.set(self)
         tick = time.perf_counter()
         try:
             yield node
@@ -120,6 +128,7 @@ class Tracer:
             raise
         finally:
             node.duration = time.perf_counter() - tick
+            _ACTIVE.reset(token)
             stack.pop()
             if parent is not None:
                 parent.children.append(node)
@@ -153,6 +162,19 @@ class Tracer:
     def tree(self) -> List[Dict[str, object]]:
         """The completed span tree as JSON-native dicts (manifest form)."""
         return [span.as_dict() for span in self.roots]
+
+
+#: The tracer with the innermost open span in this context (see
+#: :func:`active_span`).
+_ACTIVE: "ContextVar[Optional[Tracer]]" = ContextVar(
+    "repro_active_tracer", default=None
+)
+
+
+def active_span(name: str, **attributes: object):
+    """A span under the active tracer's innermost open span, or a no-op
+    context (yielding None) when no tracer has a span open."""
+    return span_or_null(_ACTIVE.get(), name, **attributes)
 
 
 def span_or_null(tracer: Optional[Tracer], name: str, **attributes: object):

@@ -6,7 +6,9 @@ mirror of a finished study:
 * :mod:`repro.store.columnar` — the struct-of-arrays representation
   (:class:`ColumnarStudy`): int64 µs timestamps, interned string tables,
   parallel column groups in the pipeline's canonical orders;
-* :mod:`repro.store.shard` — the binary shard format plus
+* :mod:`repro.store.frame` — the binary column frame, the one layout at
+  rest: study cache entries, crash checkpoints and shards are all frames;
+* :mod:`repro.store.shard` — a study as one frame plus
   :class:`ShardStore`, content-keyed under ``<cache root>/shards/`` and
   loaded zero-copy via ``mmap`` + ``np.frombuffer``;
 * :mod:`repro.store.kernels` — vectorized aggregations value-identical to

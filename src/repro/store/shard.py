@@ -1,18 +1,13 @@
 """Binary shard persistence for :class:`ColumnarStudy`.
 
-Layout of one ``.shard`` file::
-
-    magic   8 bytes   b"REPROSH1"
-    hlen    8 bytes   little-endian uint64: byte length of the header JSON
-    header  hlen      UTF-8 JSON (meta, string tables, column descriptors)
-    blobs             raw little-endian column bytes, each 64-byte aligned
-
-The header's ``columns`` list carries ``{name, dtype, count, offset}`` per
-column, with ``offset`` relative to the start of the file — so a reader
-maps the file once and wraps every column as ``np.frombuffer(mm, dtype,
-count, offset)`` without copying a byte.  Arrays loaded this way are
-read-only views over the page cache; the :class:`ColumnarStudy` keeps the
-mmap object alive for as long as any view might be.
+A ``.shard`` file is one :mod:`repro.store.frame` of kind ``"shard"``: the
+study's identity in the header ``meta``, its CVE and category tables as
+the header's string tables, and one column per :data:`COLUMN_DTYPES`
+entry.  :func:`load_shard` maps the file once and wraps every column as a
+read-only ``np.frombuffer`` view over the ``mmap`` — no column bytes are
+copied (the frame digest is checked once at open, which reads each page
+once); the :class:`ColumnarStudy` keeps the mmap alive for as long as any
+view might be.
 
 Shards are content-keyed: :class:`ShardStore` files them under
 ``<cache root>/shards/<etag>.shard`` where the etag *is* the study cache
@@ -24,107 +19,38 @@ immutable once published, which is what lets the serving layer hand out
 
 from __future__ import annotations
 
-import json
 import mmap
-import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.store.columnar import COLUMN_DTYPES, ColumnarStudy
+from repro.store.frame import Frame, read_frame, write_frame
 
-MAGIC = b"REPROSH1"
-#: Bump when the shard byte layout changes (column additions are covered by
-#: the header's explicit descriptors; this is for structural breaks).
-SHARD_SCHEMA = 1
-#: Column blobs start on multiples of this (harmless for correctness;
-#: keeps wide int64 columns page- and cache-line-friendly).
-ALIGNMENT = 64
-
-_LEN_BYTES = 8
-
-
-def _align(offset: int) -> int:
-    return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
+#: Bump when the shard layout changes (column additions are covered by the
+#: header's explicit descriptors; this is for structural breaks).  2: the
+#: shard is a digest-carrying :mod:`repro.store.frame`.
+SHARD_SCHEMA = 2
 
 
 def write_shard(study: ColumnarStudy, path: Union[str, Path]) -> Path:
-    """Serialise a packed study to ``path`` atomically; returns the path.
-
-    The file appears complete or not at all: bytes are staged in a
-    ``.tmp<pid>`` sibling and moved into place with one ``os.replace``.
-    """
+    """Serialise a packed study to ``path`` atomically; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-
-    descriptors: List[Dict[str, object]] = []
-    # Two passes: sizes first (offsets depend on the header length, which
-    # depends on the rendered descriptors), then bytes.
-    arrays: List[np.ndarray] = []
-    for name in sorted(study.columns):
-        array = np.ascontiguousarray(study.columns[name])
+    for name, array in study.columns.items():
         if array.dtype != np.dtype(COLUMN_DTYPES[name]):
             raise TypeError(
                 f"column {name}: dtype {array.dtype}, "
                 f"expected {COLUMN_DTYPES[name]}"
             )
-        arrays.append(array)
-        descriptors.append(
-            {
-                "name": name,
-                "dtype": COLUMN_DTYPES[name],
-                "count": int(array.size),
-                "offset": 0,  # fixed up below once the header size is known
-            }
-        )
-
-    def render_header() -> bytes:
-        header = {
-            "schema": SHARD_SCHEMA,
-            "meta": study.meta,
-            "cves": study.cves,
-            "categories": study.categories,
-            "columns": descriptors,
-        }
-        return json.dumps(header, sort_keys=True).encode("utf-8")
-
-    # The offsets appear inside the header, and the header's length moves
-    # the offsets.  Rendered digit counts can only grow when offsets grow,
-    # so iterating until the rendered length stops changing converges in a
-    # couple of rounds.
-    header_bytes = render_header()
-    while True:
-        cursor = _align(len(MAGIC) + _LEN_BYTES + len(header_bytes))
-        for descriptor, array in zip(descriptors, arrays):
-            descriptor["offset"] = cursor
-            cursor += array.nbytes
-            cursor = _align(cursor)
-        rendered = render_header()
-        if len(rendered) == len(header_bytes):
-            header_bytes = rendered
-            break
-        header_bytes = rendered
-
-    staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        with open(staging, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(len(header_bytes).to_bytes(_LEN_BYTES, "little"))
-            handle.write(header_bytes)
-            position = len(MAGIC) + _LEN_BYTES + len(header_bytes)
-            for descriptor, array in zip(descriptors, arrays):
-                offset = int(descriptor["offset"])  # type: ignore[arg-type]
-                handle.write(b"\0" * (offset - position))
-                handle.write(array.tobytes())
-                position = offset + array.nbytes
-        os.replace(staging, path)
-    except BaseException:
-        try:
-            staging.unlink()
-        except OSError:
-            pass
-        raise
+    frame = Frame(
+        kind="shard",
+        columns=study.columns,
+        meta=study.meta,
+        strings={"cves": study.cves, "categories": study.categories},
+    )
+    write_frame(frame, path, schema=SHARD_SCHEMA)
     return path
 
 
@@ -132,59 +58,27 @@ def load_shard(path: Union[str, Path]) -> ColumnarStudy:
     """Map a shard and wrap its columns zero-copy.
 
     The returned study's arrays are read-only ``np.frombuffer`` views over
-    one shared ``mmap``; no column bytes are copied at load time (pages
-    fault in lazily as queries touch them).  Raises ``ValueError`` for
-    anything that is not a complete shard of the current schema.
+    one shared ``mmap``.  Raises ``ValueError`` (a
+    :class:`repro.store.frame.FrameError`) for anything that is not a
+    complete, intact shard of the current schema.
     """
-    path = Path(path)
     with open(path, "rb") as handle:
         mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    columns: Dict[str, np.ndarray] = {}
     try:
-        if mm[: len(MAGIC)] != MAGIC:
-            raise ValueError(f"{path}: not a repro shard (bad magic)")
-        hlen = int.from_bytes(
-            mm[len(MAGIC): len(MAGIC) + _LEN_BYTES], "little"
-        )
-        header_start = len(MAGIC) + _LEN_BYTES
-        if header_start + hlen > len(mm):
-            raise ValueError(f"{path}: truncated shard header")
-        header = json.loads(mm[header_start: header_start + hlen])
-        if header.get("schema") != SHARD_SCHEMA:
-            raise ValueError(
-                f"{path}: shard schema {header.get('schema')!r}, "
-                f"expected {SHARD_SCHEMA}"
-            )
-        for descriptor in header["columns"]:
-            name = str(descriptor["name"])
-            dtype = str(descriptor["dtype"])
-            if COLUMN_DTYPES.get(name) != dtype:
-                raise ValueError(
-                    f"{path}: column {name!r} has dtype {dtype!r}, "
-                    f"expected {COLUMN_DTYPES.get(name)!r}"
-                )
-            count = int(descriptor["count"])
-            offset = int(descriptor["offset"])
-            end = offset + count * np.dtype(dtype).itemsize
-            if end > len(mm):
-                raise ValueError(f"{path}: column {name!r} runs past EOF")
-            columns[name] = np.frombuffer(
-                mm, dtype=np.dtype(dtype), count=count, offset=offset
-            )
-        missing = set(COLUMN_DTYPES) - set(columns)
-        if missing:
-            raise ValueError(f"{path}: shard missing columns {sorted(missing)}")
+        frame = read_frame(mm, schema=SHARD_SCHEMA, kind="shard", dtypes=COLUMN_DTYPES)
+        cves = frame.strings.get("cves")
+        categories = frame.strings.get("categories")
+        if cves is None or categories is None:
+            frame.columns.clear()
+            raise ValueError(f"{path}: shard lacks its string tables")
     except BaseException:
-        # Any frombuffer views created before the failure export pointers
-        # into the mmap; drop them first or close() raises BufferError.
-        columns.clear()
         mm.close()
         raise
     return ColumnarStudy(
-        meta=dict(header["meta"]),
-        cves=list(header["cves"]),
-        categories=list(header["categories"]),
-        columns=columns,
+        meta=dict(frame.meta),
+        cves=list(cves),
+        categories=list(categories),
+        columns=frame.columns,
         _backing=mm,
     )
 

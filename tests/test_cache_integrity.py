@@ -89,7 +89,7 @@ class TestTornEntryRegression:
         config = _config()
         torn = cache.entry_path(config)
         torn.mkdir(parents=True)
-        (torn / "alerts.jsonl.gz").write_bytes(b"partial write, no meta")
+        (torn / "alerts.frame").write_bytes(b"partial write, no meta")
 
         _save(cache, config)
 
@@ -104,7 +104,7 @@ class TestTornEntryRegression:
         config = _config()
         torn = cache.entry_path(config)
         torn.mkdir(parents=True)
-        (torn / "store.jsonl.gz").write_bytes(b"junk")
+        (torn / "store.frame").write_bytes(b"junk")
 
         assert cache.load(config) is None
         assert not torn.exists(), "torn entry left blocking the key"
@@ -148,7 +148,7 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        target = cache.entry_path(config) / "store.jsonl.gz"
+        target = cache.entry_path(config) / "store.frame"
         target.write_bytes(target.read_bytes()[:-5])
 
         assert cache.load(config) is None
@@ -159,7 +159,7 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        target = cache.entry_path(config) / "alerts.jsonl.gz"
+        target = cache.entry_path(config) / "alerts.frame"
         blob = bytearray(target.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # flip one bit; size unchanged
         target.write_bytes(bytes(blob))
@@ -176,7 +176,7 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        target = cache.entry_path(config) / "arrivals.jsonl.gz"
+        target = cache.entry_path(config) / "arrivals.frame"
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
@@ -198,11 +198,41 @@ class TestIntegrityVerification:
         assert cache.load(config) is None
         assert not cache.entry_path(config).exists()
 
+    def test_old_layout_entry_is_never_served(self, tmp_path):
+        """An intact entry of the earlier layout keys identically but fails
+        verification (its manifest names other files) and is evicted."""
+        from repro.cache.fingerprint import digest_file
+
+        cache = StudyCache(root=tmp_path)
+        config = _config()
+        entry = cache.entry_path(config)
+        entry.mkdir(parents=True)
+        files = {}
+        for name in ("arrivals.jsonl.gz", "store.jsonl.gz",
+                     "alerts.jsonl.gz", "collection.json.gz"):
+            (entry / name).write_bytes(b"old layout bytes")
+            files[name] = {
+                "blake2b": digest_file(entry / name),
+                "bytes": (entry / name).stat().st_size,
+            }
+        (entry / "meta.json").write_text(json.dumps({
+            "schema": CACHE_SCHEMA, "files": files,
+            "records": {"arrivals": 0, "sessions": 0, "alerts": 0},
+        }))
+
+        (report,) = cache.verify(deep=True)
+        assert not report.ok
+        assert "store.frame: absent from manifest" in report.problems
+        assert cache.load(config) is None
+        assert not entry.exists()
+        _save(cache, config)
+        assert cache.load(config) is not None
+
     def test_recompute_after_eviction_roundtrips(self, tmp_path):
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        (cache.entry_path(config) / "store.jsonl.gz").write_bytes(b"x")
+        (cache.entry_path(config) / "store.frame").write_bytes(b"x")
         assert cache.load(config) is None
 
         _save(cache, config)
@@ -250,7 +280,7 @@ class TestGarbageCollection:
         _save(cache, _config())
         dead = cache.study_root / ("f" * 32 + ".tmp999999999")
         dead.mkdir()
-        (dead / "arrivals.jsonl.gz").write_bytes(b"orphan")
+        (dead / "arrivals.frame").write_bytes(b"orphan")
 
         report = cache.gc()
         assert report.staging_removed == 1
@@ -276,7 +306,7 @@ class TestGarbageCollection:
         cache.study_root.mkdir(parents=True)
         torn = cache.study_root / ("b" * 32)
         torn.mkdir()
-        (torn / "alerts.jsonl.gz").write_bytes(b"junk")
+        (torn / "alerts.frame").write_bytes(b"junk")
 
         report = cache.gc()
         assert report.torn_removed == 1
@@ -384,7 +414,7 @@ class TestCacheCli:
 
         cache = StudyCache(root=populated_root)
         (entry,) = cache.entries()
-        target = entry / "alerts.jsonl.gz"
+        target = entry / "alerts.frame"
         target.write_bytes(target.read_bytes()[:-3])
         assert main([
             "cache", "verify", "--cache-dir", str(populated_root)

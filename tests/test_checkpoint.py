@@ -6,14 +6,15 @@ and checkpoints are recovery state with an explicit end of life (delete on
 success, gc by age).
 """
 
-import gzip
 import json
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
 from repro.cache import CheckpointStore
 from repro.cli import main
+from repro.store.frame import Frame, write_frame
 
 
 @pytest.fixture()
@@ -21,12 +22,25 @@ def store(tmp_path):
     return CheckpointStore(root=tmp_path)
 
 
+def _blob(**meta) -> Frame:
+    """A small frame: one column plus header scalars."""
+    return Frame(
+        kind="test",
+        columns={"rows": np.array([1, 2], dtype=np.int64)},
+        meta=meta,
+        strings={"names": ["a", "b"]},
+    )
+
+
 class TestBlobLifecycle:
     def test_roundtrip(self, store):
-        payload = {"rows": [[1, "a"], [2, "b"]], "scanned": 2}
-        path = store.save("key", "chunk-00000", payload)
-        assert path.exists()
-        assert store.load("key", "chunk-00000") == payload
+        path = store.save("key", "chunk-00000", _blob(scanned=2))
+        assert path.exists() and path.name == "chunk-00000.frame"
+        loaded = store.load("key", "chunk-00000")
+        assert loaded.kind == "test"
+        assert loaded.meta == {"scanned": 2}
+        assert loaded.strings == {"names": ["a", "b"]}
+        assert loaded.columns["rows"].tolist() == [1, 2]
         assert store.telemetry.saves == 1
         assert store.telemetry.hits == 1
         assert store.telemetry.misses == 0
@@ -37,41 +51,50 @@ class TestBlobLifecycle:
         assert store.telemetry.integrity_failures == 0
 
     def test_has_and_names(self, store):
-        store.save("key", "arrivals", {"a": 1})
-        store.save("key", "chunk-00001", {"b": 2})
+        store.save("key", "arrivals", _blob(a=1))
+        store.save("key", "chunk-00001", _blob(b=2))
         assert store.has("key", "arrivals")
         assert not store.has("key", "store")
         assert store.names("key") == ["arrivals", "chunk-00001"]
         assert store.names("unknown") == []
 
     def test_tampered_payload_is_evicted(self, store):
-        path = store.save("key", "blob", {"value": 1})
-        with gzip.open(path, "rt", encoding="ascii") as handle:
-            envelope = json.load(handle)
-        envelope["payload"]["value"] = 2  # digest now wrong
-        with gzip.open(path, "wt", encoding="ascii") as handle:
-            json.dump(envelope, handle)
+        path = store.save("key", "blob", _blob(value=1))
+        data = path.read_bytes()
+        assert data.count(b'"value": 1') == 1
+        # Same size, valid JSON, digest now wrong.
+        path.write_bytes(data.replace(b'"value": 1', b'"value": 2'))
 
         assert store.load("key", "blob") is None
         assert store.telemetry.integrity_failures == 1
         assert not path.exists()  # evicted so the recompute can republish
 
     def test_garbage_bytes_are_evicted(self, store):
-        path = store.save("key", "blob", {"value": 1})
-        path.write_bytes(b"not gzip at all")
+        path = store.save("key", "blob", _blob(value=1))
+        path.write_bytes(b"not a frame at all")
         assert store.load("key", "blob") is None
         assert store.telemetry.integrity_failures == 1
         assert not path.exists()
 
     def test_schema_mismatch_is_evicted(self, store):
-        path = store.save("key", "blob", {"value": 1})
-        with gzip.open(path, "rt", encoding="ascii") as handle:
-            envelope = json.load(handle)
-        envelope["schema"] = 999
-        with gzip.open(path, "wt", encoding="ascii") as handle:
-            json.dump(envelope, handle)
+        path = store.save("key", "blob", _blob(value=1))
+        # An intact frame, digest and all, written under another schema.
+        write_frame(_blob(value=1), path, schema=999)
         assert store.load("key", "blob") is None
+        assert store.telemetry.integrity_failures == 1
         assert not path.exists()
+
+    def test_decoder_rejection_is_evicted(self, store):
+        path = store.save("key", "blob", _blob(value=1))
+
+        def reject(frame):
+            raise ValueError(f"not a {frame.kind} I can decode")
+
+        assert store.load("key", "blob", reject) is None
+        assert store.telemetry.integrity_failures == 1
+        assert not path.exists()
+        store.save("key", "blob", _blob(value=1))
+        assert store.load("key", "blob", lambda frame: frame.meta) == {"value": 1}
 
     def test_staging_never_published_on_failure(self, store, monkeypatch):
         def boom(*args, **kwargs):
@@ -79,7 +102,7 @@ class TestBlobLifecycle:
 
         monkeypatch.setattr("os.replace", boom)
         with pytest.raises(OSError):
-            store.save("key", "blob", {"value": 1})
+            store.save("key", "blob", _blob(value=1))
         # Neither the blob nor its staging sibling survives.
         assert not store.has("key", "blob")
         assert list(store.dir_for("key").iterdir()) == []
@@ -87,24 +110,24 @@ class TestBlobLifecycle:
     @pytest.mark.parametrize("bad", ["", "a/b", ".hidden", "../escape"])
     def test_invalid_keys_and_names_rejected(self, store, bad):
         with pytest.raises(ValueError):
-            store.save(bad, "blob", {})
+            store.save(bad, "blob", _blob())
         with pytest.raises(ValueError):
-            store.save("key", bad, {})
+            store.save("key", bad, _blob())
 
 
 class TestPopulation:
     def test_delete_and_keys(self, store):
-        store.save("one", "a", {})
-        store.save("two", "b", {})
+        store.save("one", "a", _blob())
+        store.save("two", "b", _blob())
         assert store.keys() == ["one", "two"]
         assert store.delete("one")
         assert not store.delete("one")  # already gone
         assert store.keys() == ["two"]
 
     def test_stats_counts_chunks(self, store):
-        store.save("key", "arrivals", {"a": 1})
-        store.save("key", "chunk-x-00000", {"b": 2})
-        store.save("key", "chunk-x-00001", {"c": 3})
+        store.save("key", "arrivals", _blob(a=1))
+        store.save("key", "chunk-x-00000", _blob(b=2))
+        store.save("key", "chunk-x-00001", _blob(c=3))
         snapshot = store.stats()
         assert snapshot["key_count"] == 1
         (info,) = snapshot["keys"]
@@ -113,8 +136,8 @@ class TestPopulation:
         assert info["bytes"] > 0
 
     def test_gc_by_age(self, store):
-        store.save("stale", "blob", {})
-        store.save("fresh", "blob", {})
+        store.save("stale", "blob", _blob())
+        store.save("fresh", "blob", _blob())
         newest = store._key_info("stale")["newest"]
         removed = store.gc(
             max_age=timedelta(days=1),
@@ -125,8 +148,8 @@ class TestPopulation:
         assert store.keys() == []
 
     def test_gc_reaps_orphaned_staging(self, store):
-        store.save("key", "blob", {})
-        orphan = store.dir_for("key") / "torn.json.gz.tmp12345"
+        store.save("key", "blob", _blob())
+        orphan = store.dir_for("key") / "torn.frame.tmp12345"
         orphan.write_bytes(b"partial")
         assert store.gc() == 0  # key itself is alive
         assert not orphan.exists()
@@ -137,8 +160,8 @@ class TestPopulation:
         assert store.keys() == []
 
     def test_clear(self, store):
-        store.save("one", "a", {})
-        store.save("two", "b", {})
+        store.save("one", "a", _blob())
+        store.save("two", "b", _blob())
         assert store.clear() == 2
         assert store.keys() == []
 
@@ -146,8 +169,8 @@ class TestPopulation:
 class TestCheckpointCli:
     def _seed(self, tmp_path):
         store = CheckpointStore(root=tmp_path)
-        store.save("deadbeef", "arrivals", {"records": []})
-        store.save("deadbeef", "chunk-x-00000", {"rows": []})
+        store.save("deadbeef", "arrivals", _blob())
+        store.save("deadbeef", "chunk-x-00000", _blob())
         return store
 
     def test_list(self, tmp_path, capsys):

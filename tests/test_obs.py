@@ -353,6 +353,11 @@ class TestTelemetryFacade:
 
 class TestPipelineObservability:
     STAGES = ["datasets", "traffic", "capture", "scan", "extract", "timelines"]
+    #: A cached run charges its storage to spans of its own.
+    COLD = ["datasets", "cache.load", "traffic", "capture", "scan",
+            "cache.save", "extract", "timelines"]
+    WARM = ["datasets", "cache.load", "traffic", "capture", "scan",
+            "extract", "timelines"]
 
     def test_manifest_covers_all_stages_and_reconciles(self, tmp_path):
         result = run_study(_tiny_config(), cache=tmp_path / "c")
@@ -362,10 +367,18 @@ class TestPipelineObservability:
         assert validate_manifest(document) == []
         root = document["spans"][0]
         assert root["name"] == "run_study"
-        assert [child["name"] for child in root["children"]] == self.STAGES
-        for name in ("traffic", "capture", "scan"):
+        assert [child["name"] for child in root["children"]] == self.COLD
+        for name, blob in (
+            ("traffic", "arrivals"), ("capture", "store"), ("scan", "alerts")
+        ):
             stage = next(c for c in root["children"] if c["name"] == name)
             assert stage["attributes"]["source"] == "computed"
+            # Each stage probes its checkpoint first and writes it last.
+            first, last = stage["children"][0], stage["children"][-1]
+            assert first["name"] == "checkpoint.load"
+            assert first["attributes"] == {"blob": blob, "hit": False}
+            assert last["name"] == "checkpoint.save"
+            assert last["attributes"] == {"blob": blob}
         counters = document["metrics"]["counters"]
         scan = result.telemetry.scan
         assert counters["scan.sessions"] == scan.sessions
@@ -377,6 +390,19 @@ class TestPipelineObservability:
         assert scan.wall_seconds > 0.0
         assert scan.cpu_seconds == scan.scan_seconds
 
+    @pytest.mark.parametrize("mode", ["uncached", "cold", "warm"])
+    def test_child_spans_cover_the_root(self, tmp_path, mode):
+        """Every stage, storage included, is charged to a named span."""
+        config = _tiny_config()
+        cache = None if mode == "uncached" else tmp_path / "c"
+        if mode == "warm":
+            run_study(config, cache=cache)
+        result = run_study(config, cache=cache)
+        assert result.from_cache == (mode == "warm")
+        root = result.telemetry.manifest.as_dict()["spans"][0]
+        covered = sum(child["duration"] for child in root["children"])
+        assert covered >= 0.95 * root["duration"], (covered, root["duration"])
+
     def test_cache_hit_runs_stages_as_cache_sourced(self, tmp_path):
         config = _tiny_config()
         run_study(config, cache=tmp_path / "c")
@@ -385,7 +411,8 @@ class TestPipelineObservability:
         assert result.telemetry.scan is None
         document = result.telemetry.manifest.as_dict()
         root = document["spans"][0]
-        assert [child["name"] for child in root["children"]] == self.STAGES
+        assert [child["name"] for child in root["children"]] == self.WARM
+        assert root["children"][1]["attributes"] == {"hit": True}
         for name in ("traffic", "capture", "scan"):
             stage = next(c for c in root["children"] if c["name"] == name)
             assert stage["attributes"]["source"] == "cache"
@@ -412,10 +439,17 @@ class TestPipelineObservability:
             c for c in parallel_doc["spans"][0]["children"]
             if c["name"] == "scan"
         )
-        chunk_names = [c["name"] for c in scan_span.get("children", [])]
+        children = scan_span.get("children", [])
+        names = [c["name"] for c in children]
+        # The scan probes its stage checkpoint first and writes it last...
+        assert names[0] == "checkpoint.load" and names[-1] == "checkpoint.save"
+        chunk_names = [n for n in names if not n.startswith("checkpoint.")]
         assert chunk_names and all(
             name.startswith("chunk-") for name in chunk_names
         )
+        # ...and every chunk's own checkpoint write is a span beside it.
+        saved = [c for c in children if c["name"] == "checkpoint.save"]
+        assert len(saved) == len(chunk_names) + 1
 
     def test_manifest_false_skips_write(self, tmp_path):
         result = run_study(
@@ -461,7 +495,7 @@ class TestCli:
 
         assert main(["trace", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        for stage in TestPipelineObservability.STAGES:
+        for stage in TestPipelineObservability.COLD:
             assert stage in out
         assert "run_study" in out
 

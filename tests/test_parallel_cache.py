@@ -214,7 +214,7 @@ class TestStudyCache:
         cache = StudyCache(root=tmp_path)
         config = _tiny_study_config()
         run_study(config, cache=cache)
-        (cache.entry_path(config) / "alerts.jsonl.gz").write_bytes(b"garbage")
+        (cache.entry_path(config) / "alerts.frame").write_bytes(b"garbage")
         assert cache.load(config) is None
         assert not cache.entry_path(config).exists()
 
