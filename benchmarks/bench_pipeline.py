@@ -21,8 +21,7 @@ The parallel numbers carry their context: both ``os.cpu_count()`` and the
 *schedulable* core count (``len(os.sched_getaffinity(0))`` — containers
 routinely pin a 64-core box to 1 core) are recorded, and any row whose
 worker count exceeds the schedulable cores is annotated ``oversubscribed``
-/ ``unreliable`` — its speedup measures contention, not the transfer
-plane.  ``worker_sweep`` rows force the pool on (``threshold=0``) so the
+/ ``unreliable`` — its speedup measures contention, not the pool.  ``worker_sweep`` rows force the pool on (``threshold=0``) so the
 curve is measurable at any scale; the headline ``parallel_seconds`` runs
 under the default break-even policy and records whether it fell back to
 serial (``fallback_serial``).  ``REPRO_BENCH_VOLUME_ROW=<scale>`` adds a
@@ -203,13 +202,9 @@ def test_nids_scan_engines(study_full, results_dir):
             "seconds": round(seconds, 3),
             "sessions_per_sec": round(sessions / seconds, 1),
             "speedup": round(regex_seconds / seconds, 3),
-            "arena_bytes": telemetry.arena_bytes,
-            "arena_build_seconds": round(telemetry.arena_build_seconds, 4),
-            "transfer_seconds": round(telemetry.transfer_seconds, 4),
-            "pool_reuses": telemetry.pool_reuses,
             "fallback_serial": telemetry.fallback_serial,
             # More workers than schedulable cores measures contention,
-            # not the transfer plane: the speedup is not trustworthy.
+            # not the pool: the speedup is not trustworthy.
             "oversubscribed": oversubscribed,
             "unreliable": oversubscribed,
         }
@@ -231,7 +226,6 @@ def test_nids_scan_engines(study_full, results_dir):
         "parallel_sessions_per_sec": round(sessions / parallel_seconds, 1),
         "speedup": round(regex_seconds / parallel_seconds, 3),
         "fallback_serial": parallel_stats.telemetry.fallback_serial,
-        "arena_bytes": parallel_stats.telemetry.arena_bytes,
         "prefilter_speedup": round(aho_seconds / regex_seconds, 3),
         "volume_scale": study_full.config.volume_scale,
         "worker_sweep": worker_sweep,
@@ -284,7 +278,6 @@ def test_nids_scan_engines(study_full, results_dir):
             "serial_seconds": round(heavy_serial, 3),
             "parallel_seconds": round(heavy_parallel, 3),
             "speedup": round(heavy_serial / heavy_parallel, 3),
-            "arena_bytes": heavy_stats.telemetry.arena_bytes,
             "fallback_serial": heavy_stats.telemetry.fallback_serial,
             "oversubscribed": oversubscribed,
             "unreliable": oversubscribed,

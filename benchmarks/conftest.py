@@ -73,18 +73,6 @@ def study_full() -> StudyResult:
         )
     if result.telemetry.manifest_path is not None:
         print(f"[run manifest] {result.telemetry.manifest_path}")
-    scan = result.telemetry.scan
-    if scan is not None and (
-        scan.chunk_retries or scan.pool_respawns or scan.poison_chunks
-        or scan.recovered_chunks or scan.checkpoint_hits
-    ):
-        print(
-            f"[scan recovery] retries={scan.chunk_retries} "
-            f"respawns={scan.pool_respawns} "
-            f"recovered={scan.recovered_chunks} "
-            f"poison={scan.poison_chunks} "
-            f"checkpoint_hits={scan.checkpoint_hits}"
-        )
     return result
 
 

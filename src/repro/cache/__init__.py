@@ -24,10 +24,8 @@ from repro.cache.fingerprint import STAGE_MODULES, code_fingerprint, digest_file
 from repro.cache.gc import (
     GcReport,
     ManifestGcReport,
-    ShmGcReport,
     collect_garbage,
     collect_manifest_garbage,
-    collect_shm_garbage,
 )
 from repro.cache.integrity import EntryReport, is_complete_entry, verify_entry
 from repro.cache.study import (
@@ -51,12 +49,10 @@ __all__ = [
     "GcReport",
     "ManifestGcReport",
     "STAGE_MODULES",
-    "ShmGcReport",
     "StudyCache",
     "code_fingerprint",
     "collect_garbage",
     "collect_manifest_garbage",
-    "collect_shm_garbage",
     "default_cache_root",
     "digest_file",
     "is_complete_entry",

@@ -1,10 +1,10 @@
 """Crash-recovery checkpoints for in-flight pipeline work.
 
 The study cache (:mod:`repro.cache.study`) persists *finished* runs; this
-module persists *partial* ones.  A long scan that dies mid-way — worker
-OOM, machine reboot, a ctrl-C — leaves behind per-chunk and per-stage
-checkpoints keyed by the same content hash as the study cache, so the next
-invocation of the same configuration recomputes only what is missing.
+module persists *partial* ones.  A long run that dies mid-way — an OOM
+kill, a machine reboot, a ctrl-C — leaves behind per-stage checkpoints
+keyed by the same content hash as the study cache, so the next invocation
+of the same configuration recomputes only what is missing.
 
 Layout and protocol:
 
@@ -212,15 +212,12 @@ class CheckpointStore:
     def _key_info(self, key: str) -> Dict[str, object]:
         directory = self.checkpoint_root / key
         blobs = 0
-        chunks = 0
         total = 0
         newest = 0.0
         for child in directory.iterdir():
             if not child.is_file() or _STAGING_RE.search(child.name):
                 continue
             blobs += 1
-            if child.name.startswith("chunk-"):
-                chunks += 1
             try:
                 stat = child.stat()
             except OSError:  # pragma: no cover - racing deletion
@@ -230,7 +227,6 @@ class CheckpointStore:
         return {
             "key": key,
             "blobs": blobs,
-            "chunks": chunks,
             "bytes": total,
             "newest": newest,
         }

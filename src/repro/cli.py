@@ -56,6 +56,16 @@ def _positive_int(value: str) -> int:
     return count
 
 
+def _port(value: str) -> int:
+    try:
+        port = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError("must be in 0..65535")
+    return port
+
+
 def common_parent() -> argparse.ArgumentParser:
     """The flags every study-running / manifest-reading subcommand shares.
 
@@ -901,14 +911,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     print(f"watch manifests removed: {manifest_report.manifests_removed} "
           f"({_format_bytes(manifest_report.bytes_freed)}); kept: "
           f"{manifest_report.manifests_kept}")
-    # Orphaned scan arenas (SIGKILLed runs) squat on /dev/shm, not in the
-    # cache directory, so the same gc pass sweeps them too.
-    from repro.cache import collect_shm_garbage
-
-    shm = collect_shm_garbage()
-    print(f"orphaned shm arenas removed: {shm.segments_removed} "
-          f"({_format_bytes(shm.bytes_freed)}); live kept: "
-          f"{shm.segments_kept}")
     return 0
 
 
@@ -951,13 +953,12 @@ def _cmd_cache_checkpoints(args: argparse.Namespace) -> int:
             rows.append([
                 str(info["key"])[:24],
                 info["blobs"],
-                info["chunks"],
                 _format_bytes(int(info["bytes"])),
                 f"{age_hours:.1f}h",
             ])
         print()
         print(render_table(
-            ["key", "blobs", "chunks", "size", "age"], rows
+            ["key", "blobs", "size", "age"], rows
         ))
     return 0
 
@@ -1075,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address (default loopback)"
     )
     serve_parser.add_argument(
-        "--port", type=int, default=8321,
+        "--port", type=_port, default=8321,
         help="bind port (default 8321; 0 = ephemeral)",
     )
     serve_parser.add_argument(
@@ -1247,7 +1248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _scaled_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--size", type=int, default=1000,
+            "--size", type=_positive_int, default=1000,
             help="scaled ruleset size (default 1000)",
         )
         sub.add_argument(
@@ -1286,14 +1287,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ruleset sizes",
     )
     rules_bench_parser.add_argument(
-        "--sessions", type=int, default=2000,
+        "--sessions", type=_positive_int, default=2000,
         help="synthetic session count per size",
     )
     rules_bench_parser.add_argument(
         "--seed", type=int, default=20260801, help="generator seed"
     )
     rules_bench_parser.add_argument(
-        "--workers", type=int, default=2, help="parallel worker count"
+        "--workers", type=_positive_int, default=2,
+        help="parallel worker count"
     )
     rules_bench_parser.add_argument(
         "--json", action="store_true", help="emit the sweep record as JSON"

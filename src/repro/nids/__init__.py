@@ -27,7 +27,6 @@ from repro.nids.parser import RuleParseError, parse_rule, parse_rules
 from repro.nids.matcher import match_rule
 from repro.nids.ruleset import Alert, Ruleset
 from repro.nids.engine import DetectionEngine, DetectionStats, ScanTelemetry, scan_stream
-from repro.nids.arena import ArenaFormatError, SessionArena
 from repro.nids.parallel import parallel_scan
 from repro.nids.automaton import AhoCorasick
 from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
@@ -60,8 +59,6 @@ __all__ = [
     "ScanTelemetry",
     "scan_stream",
     "parallel_scan",
-    "ArenaFormatError",
-    "SessionArena",
     "AhoCorasick",
     "RegexPrefilter",
     "ShardedPrefilter",

@@ -267,9 +267,7 @@ class ShardedPrefilter:
     counters (:attr:`shards_compiled`, :attr:`compile_seconds`,
     :attr:`searches`) feed :class:`repro.nids.engine.ScanTelemetry` as
     deltas per scan.  Laziness matters in the workers of a parallel scan:
-    a warm worker attaches a digest-cached ruleset whose shards compile
-    once, on the first chunk that needs them, and never again for later
-    chunks or scans of the same ruleset.
+    each forked worker compiles only the shards its own ranges search.
     """
 
     def __init__(

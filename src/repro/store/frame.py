@@ -1,7 +1,7 @@
 """The binary column frame: the one layout the program keeps at rest.
 
 Every file a study leaves on disk — the study cache's entries, the crash
-checkpoints (per stage and per scan chunk) and the serve shards — is one
+checkpoints (one per pipeline stage) and the serve shards — is one
 frame::
 
     magic   8 bytes   b"REPROFR1"
@@ -12,12 +12,11 @@ frame::
 The header is a JSON object with exactly these keys:
 
 * ``kind`` — what the frame holds (``"store"``, ``"arrivals"``,
-  ``"alerts"``, ``"chunk"``, ``"shard"``);
+  ``"alerts"``, ``"shard"``);
 * ``schema`` — the owning store's layout version (``CACHE_SCHEMA``,
   ``CHECKPOINT_SCHEMA``, ``SHARD_SCHEMA``); a reader names the schema it
   expects and rejects any other;
-* ``meta`` — scalars (collection counters, scan telemetry, chunk bounds,
-  a shard's identity);
+* ``meta`` — scalars (collection counters, a shard's identity);
 * ``strings`` — interned string tables, referenced from ``int32`` columns
   by index (``-1`` = ``None``);
 * ``columns`` — ``{name, dtype, count, offset}`` per column, ``offset``
@@ -578,18 +577,12 @@ def arrivals_from_frame(frame: Frame) -> List["ScanArrival"]:
     )
 
 
-def alerts_frame(
-    alerts: Sequence["Alert"],
-    *,
-    kind: str = "alerts",
-    meta: Optional[Dict[str, Any]] = None,
-) -> Frame:
-    """The scan stage (``kind="alerts"``) or one scan chunk's result
-    (``kind="chunk"``, with the chunk's scalars in ``meta``)."""
+def alerts_frame(alerts: Sequence["Alert"]) -> Frame:
+    """The scan stage's alert list."""
     alerts = list(alerts)
     cves = _Interner()
     return Frame(
-        kind=kind,
+        kind="alerts",
         columns={
             "alert_session": _ints([a.session_id for a in alerts], "int64"),
             "alert_t": _times([a.timestamp for a in alerts]),
@@ -600,16 +593,16 @@ def alerts_frame(
             "alert_dst_port": _ints([a.dst_port for a in alerts], "int32"),
             "alert_src_ip": _ints([a.src_ip for a in alerts], "int64"),
         },
-        meta=dict(meta or {}),
+        meta={},
         strings={"cves": cves.values},
     )
 
 
-def alerts_from_frame(frame: Frame, *, kind: str = "alerts") -> List["Alert"]:
+def alerts_from_frame(frame: Frame) -> List["Alert"]:
     """Inverse of :func:`alerts_frame`."""
     from repro.nids.ruleset import Alert
 
-    _expect(frame, kind, ALERT_DTYPES)
+    _expect(frame, "alerts", ALERT_DTYPES)
     c = frame.columns
     _rows(frame, tuple(ALERT_DTYPES))
     return list(

@@ -124,17 +124,6 @@ class TestPopulation:
         assert not store.delete("one")  # already gone
         assert store.keys() == ["two"]
 
-    def test_stats_counts_chunks(self, store):
-        store.save("key", "arrivals", _blob(a=1))
-        store.save("key", "chunk-x-00000", _blob(b=2))
-        store.save("key", "chunk-x-00001", _blob(c=3))
-        snapshot = store.stats()
-        assert snapshot["key_count"] == 1
-        (info,) = snapshot["keys"]
-        assert info["blobs"] == 3
-        assert info["chunks"] == 2
-        assert info["bytes"] > 0
-
     def test_gc_by_age(self, store):
         store.save("stale", "blob", _blob())
         store.save("fresh", "blob", _blob())
@@ -187,7 +176,7 @@ class TestCheckpointCli:
         ) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["key_count"] == 1
-        assert snapshot["keys"][0]["chunks"] == 1
+        assert snapshot["keys"][0]["blobs"] == 2
 
     def test_gc_flag(self, tmp_path, capsys):
         self._seed(tmp_path)

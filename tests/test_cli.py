@@ -127,3 +127,23 @@ class TestRulesLint:
         assert main(["rules", "--lint", "--no-fp"]) == 0
         out = capsys.readouterr().out
         assert "generic-endpoint" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rules", "gen", "--size", "0"],
+        ["rules", "gen", "--size", "-3"],
+        ["rules", "lint", "--size", "0"],
+        ["rules", "bench", "--sizes", "64", "--workers", "0"],
+        ["rules", "bench", "--sizes", "64", "--sessions", "-5"],
+        ["serve", "--scale", "0.01", "--port", "-1"],
+        ["serve", "--scale", "0.01", "--port", "65536"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_integer_rejected_at_parse(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument" in capsys.readouterr().err

@@ -17,7 +17,6 @@ Two halves:
 from __future__ import annotations
 
 import json
-import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -38,8 +37,6 @@ from repro.cache.checkpoint import (
 from repro.cache.integrity import build_manifest
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
-from repro.nids.engine import ScanTelemetry
-from repro.nids.parallel import _ChunkCheckpoints, _encode_alerts
 from repro.nids.ruleset import Alert
 from repro.store import ColumnarStudy, ShardStore, load_shard, write_shard
 from repro.telescope.collector import CollectionStats
@@ -261,13 +258,6 @@ stats = st.builds(
     receiving_ips=st.sets(ips, max_size=8), source_ips=st.sets(ips, max_size=8),
 )
 finite = st.floats(allow_nan=False, allow_infinity=False)
-telemetry = st.builds(
-    ScanTelemetry,
-    engine=st.sampled_from(["regex", "aho"]), sessions=counters,
-    payload_bytes=counters, candidates_evaluated=counters, scan_seconds=finite,
-    wall_seconds=finite, checkpoint_hits=counters,
-    pcre_cache=st.none() | st.tuples(counters, counters, st.none() | counters, counters),
-)
 
 
 def _through_disk(frame):
@@ -301,17 +291,6 @@ def test_arrivals_round_trip(arrival_list):
 def test_alerts_round_trip(alert_list):
     frame = _through_disk(encode_stage_alerts(alert_list))
     assert decode_stage_alerts(frame) == alert_list
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(alerts, max_size=8), counters, telemetry)
-def test_chunk_checkpoint_round_trip(alert_list, scanned, scan_telemetry):
-    rows = _encode_alerts(alert_list)
-    with tempfile.TemporaryDirectory() as root:
-        chunks = _ChunkCheckpoints(CheckpointStore(root=root), "key", [(0, 5), (5, 9)])
-        chunks.save(1, rows, scanned, scan_telemetry)
-        assert chunks.load(0) is None
-        assert chunks.load(1) == (rows, scanned, scan_telemetry)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,8 +20,10 @@ from repro.cache import StudyCache, study_key
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.exploits.rulegen import build_study_ruleset
 from repro.net.session import TcpSession
-from repro.nids.engine import DetectionEngine
+from repro.nids import parallel
+from repro.nids.engine import DetectionEngine, scan_stream
 from repro.nids.matcher import SessionBuffers
+from repro.nids.parallel import parallel_scan
 from repro.nids.parser import parse_rule
 from repro.nids.ruleset import Ruleset
 from repro.telescope.collector import DscopeCollector
@@ -30,6 +32,13 @@ from repro.util.timeutil import utc
 
 SEEDS = [20230321, 7]
 WORKER_COUNTS = [1, 2, 4]
+
+
+def _plain_session(sid: int, payload: bytes) -> TcpSession:
+    return TcpSession(
+        session_id=sid, start=utc(2022, 6, 1), src_ip=1, src_port=1024,
+        dst_ip=2, dst_port=80, payload=payload,
+    )
 
 
 def _traffic_config(seed: int, **overrides) -> TrafficConfig:
@@ -56,7 +65,7 @@ class TestParallelScanEquivalence:
     def _force_pool(self, monkeypatch):
         # These worlds are far below the break-even size; without this the
         # serial fallback would make every equivalence here vacuous.
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
+        monkeypatch.setattr(parallel, "DEFAULT_PARALLEL_THRESHOLD", 0)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_alerts_and_stats_identical(self, seeded_world, workers):
@@ -80,55 +89,79 @@ class TestParallelScanEquivalence:
         with pytest.raises(ValueError):
             DetectionEngine(Ruleset(), workers=0)
 
-    def test_overlapping_scans_from_threads(self, seeded_world, monkeypatch):
-        """Concurrent parallel scans must not read each other's pinned
-        fork state (the module global is lock-guarded) — and must actually
-        *overlap*: the lock covers only the pin → fork window, not the
-        whole pool lifetime.
-
-        The rendezvous barrier fires in each scan after its workers forked
-        and before any chunk runs; both scans can only meet there if the
-        first released the fork lock while still mid-scan.  With the old
-        scan-long lock this deadlocks (and the barrier timeout fails the
-        test) instead of passing serially.
-        """
+    def test_overlapping_scans_from_threads(self, seeded_world):
+        """Concurrent parallel scans from threads each fork their own pool
+        over their own stream, so every one must equal its serial scan."""
         import threading
-
-        from repro.nids import parallel
 
         _, _, store, ruleset, serial_alerts, _ = seeded_world
         sessions = list(store)
-        results = {}
-        rendezvous = threading.Barrier(2, timeout=60)
-        overlapped = []
-
-        def hook():
-            rendezvous.wait()
-            overlapped.append(True)
-
-        monkeypatch.setattr(parallel, "_after_fork_hook", hook)
-
-        def scan(name, subset):
-            engine = DetectionEngine(ruleset, workers=2)
-            results[name] = engine.scan(subset)
-
-        # Different-sized streams, so crossed fork state would be visible
+        # Different-sized streams, so crossed worker state would be visible
         # as wrong alert sets, not just reordered ones.
-        half = sessions[: len(sessions) // 2]
-        threads = [
-            threading.Thread(target=scan, args=("full", sessions)),
-            threading.Thread(target=scan, args=("half", half)),
-        ]
+        streams = {
+            "full": sessions,
+            "half": sessions[: len(sessions) // 2],
+            "tail": sessions[len(sessions) // 3:],
+        }
+        results = {}
+        start = threading.Barrier(len(streams), timeout=60)
+
+        def scan(name):
+            engine = DetectionEngine(ruleset, workers=2)
+            start.wait()
+            results[name] = engine.scan(streams[name])
+
+        threads = [threading.Thread(target=scan, args=(name,)) for name in streams]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
 
-        assert overlapped == [True, True]
         assert results["full"] == serial_alerts
-        monkeypatch.setattr(parallel, "_after_fork_hook", None)
-        serial_half = DetectionEngine(ruleset).scan(half)
-        assert results["half"] == serial_half
+        for name, stream in streams.items():
+            assert results[name] == DetectionEngine(ruleset).scan(stream), name
+
+
+class TestBreakEvenPolicy:
+    """Below the break-even size a parallel request is served serially."""
+
+    def test_small_stream_falls_back_to_serial(self):
+        ruleset = build_study_ruleset()
+        sessions = [_plain_session(i, b"GET / HTTP/1.1\r\n\r\n") for i in range(50)]
+        serial_alerts, _, _ = scan_stream(ruleset, sessions)
+        alerts, scanned, telemetry = parallel_scan(ruleset, sessions, workers=4)
+        assert alerts == serial_alerts
+        assert scanned == len(sessions)
+        assert telemetry.fallback_serial == 1
+
+    def test_forced_pool_does_not_fall_back(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_PARALLEL_THRESHOLD", 0)
+        ruleset = build_study_ruleset()
+        sessions = [_plain_session(i, b"x" * 10) for i in range(200)]
+        _, scanned, telemetry = parallel_scan(ruleset, sessions, workers=2)
+        assert scanned == len(sessions)
+        assert telemetry.fallback_serial == 0
+
+    def test_serial_request_not_marked_fallback(self):
+        ruleset = build_study_ruleset()
+        _, _, telemetry = parallel_scan(
+            ruleset, [_plain_session(1, b"x")], workers=1
+        )
+        assert telemetry.fallback_serial == 0
+
+    def test_threshold_validation(self):
+        ruleset = build_study_ruleset()
+        with pytest.raises(ValueError):
+            parallel_scan(ruleset, [], workers=2, threshold=-1)
+        with pytest.raises(ValueError):
+            parallel_scan(ruleset, [], workers=0)
+
+    def test_transfer_plane_rejected(self):
+        with pytest.raises(ValueError):
+            parallel_scan(
+                build_study_ruleset(), [], workers=2, transfer="pickle"
+            )
 
 
 class TestShardedGenerationEquivalence:

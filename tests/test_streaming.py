@@ -114,20 +114,6 @@ class TestIncrementalStudy:
         # Window scans above the (forced-zero) threshold went to the pool.
         assert engine.stats.telemetry.fallback_serial == 0
 
-    @pytest.mark.parametrize("fault", ["worker_crash:0", "chunk_error:0"])
-    def test_faulted_parallel_windows_byte_identical(
-        self, study, monkeypatch, fault
-    ):
-        # scan_abort is excluded by design: it kills the scan (checkpoint
-        # resume territory), so there is no completed run to compare.
-        monkeypatch.setenv("REPRO_FAULT", fault)
-        engine = DetectionEngine(study.ruleset, workers=2, threshold=0)
-        inc = self._observe_in_windows(study, engine, n_windows=2)
-        monkeypatch.delenv("REPRO_FAULT")
-        snapshot = inc.snapshot()
-        assert snapshot.alerts == study.alerts
-        assert snapshot.stats == _batch_stats(study)
-
     def test_memory_bounded_to_alerted_sessions(self, study):
         engine = DetectionEngine(study.ruleset)
         inc = self._observe_in_windows(study, engine)
