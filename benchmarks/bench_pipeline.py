@@ -32,18 +32,26 @@ scan-only row at a different traffic scale (the issue's ``volume_scale >=
 volume: deterministic synthetic Snort rulesets (64 → 10k rules, see
 ``repro.nids.scale``) scanned serial and forced-parallel over a fixed
 synthetic session corpus, recorded to the ``rules_sweep`` section of the
-same JSON.  Both writers merge into ``BENCH_pipeline.json`` rather than
-overwriting it, so either can run alone.
+same JSON.  ``test_prefilter_compile`` times building a
+:class:`~repro.nids.prefilter.RegexPrefilter` for every shard of the
+largest swept ruleset's fast-pattern table — the compile a Snort-scale
+rescan pays before it matches anything — recorded under
+``prefilter_compile``.  Every writer merges into ``BENCH_pipeline.json``
+rather than overwriting it, so each can run alone.
 """
 
 import json
 import os
+import re
+import statistics
+import subprocess
 import time
 
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.exploits.rulegen import build_study_ruleset
 from repro.nids.engine import DetectionEngine
-from repro.nids.scale import throughput_sweep
+from repro.nids.prefilter import DEFAULT_SHARD_SIZE, RegexPrefilter
+from repro.nids.scale import ScaleConfig, generate_scaled, throughput_sweep
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
@@ -56,6 +64,13 @@ SWEEP_WORKERS = [
     if part.strip()
 ]
 VOLUME_ROW_SCALE = float(os.environ.get("REPRO_BENCH_VOLUME_ROW", "0") or 0)
+RULE_SIZES = tuple(
+    int(part)
+    for part in os.environ.get(
+        "REPRO_BENCH_RULE_SIZES", "64,1024,4096,10000"
+    ).split(",")
+    if part.strip()
+)
 
 
 def _merge_results(results_dir, section, payload):
@@ -298,20 +313,84 @@ def test_rules_vs_throughput(results_dir):
     skewing the curve.  Sizes override with ``REPRO_BENCH_RULE_SIZES``;
     sessions with ``REPRO_BENCH_RULE_SESSIONS``.
     """
-    sizes = tuple(
-        int(part)
-        for part in os.environ.get(
-            "REPRO_BENCH_RULE_SIZES", "64,1024,4096,10000"
-        ).split(",")
-        if part.strip()
-    )
     session_count = int(os.environ.get("REPRO_BENCH_RULE_SESSIONS", "2000"))
     sweep = throughput_sweep(
-        sizes=sizes, session_count=session_count, workers=SCAN_WORKERS
+        sizes=RULE_SIZES, session_count=session_count, workers=SCAN_WORKERS
     )
-    assert len(sweep["entries"]) == len(sizes)
+    assert len(sweep["entries"]) == len(RULE_SIZES)
     assert all(entry["alerts_equal"] for entry in sweep["entries"])
     _merge_results(results_dir, "rules_sweep", sweep)
+
+
+def _git_revision():
+    """(commit sha, whether the work tree has uncommitted changes), or
+    ``(None, None)`` outside a git checkout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, check=True,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=root, check=True, capture_output=True, text=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+    return sha, bool(status.strip())
+
+
+def test_prefilter_compile(results_dir):
+    """Compile cost of the regex prefilter at the largest swept rule count.
+
+    Takes the scaled corpus's fast-pattern table (lowercased, de-duplicated,
+    rule order — what :class:`~repro.nids.ruleset.Ruleset` hands the
+    sharded prefilter), cuts it into ``DEFAULT_SHARD_SIZE`` shards and
+    builds a :class:`RegexPrefilter` for every shard, ``max(3,
+    REPRO_BENCH_REPEATS)`` times.  ``re``'s pattern cache is purged before
+    each repeat so every repeat pays the full closure build, trie emit and
+    ``sre`` compile.  Merged into ``BENCH_pipeline.json`` under
+    ``prefilter_compile``.
+    """
+    size = max(RULE_SIZES)
+    patterns = []
+    seen = set()
+    for scaled in generate_scaled(ScaleConfig(size=size)):
+        fast = scaled.rule.fast_pattern
+        if fast is not None and fast.pattern.lower() not in seen:
+            seen.add(fast.pattern.lower())
+            patterns.append(fast.pattern.lower())
+    assert patterns
+    shards = [
+        patterns[start : start + DEFAULT_SHARD_SIZE]
+        for start in range(0, len(patterns), DEFAULT_SHARD_SIZE)
+    ]
+    seconds = []
+    chunks = 0
+    for _ in range(max(3, SCAN_REPEATS)):
+        re.purge()
+        start = time.perf_counter()
+        engines = [RegexPrefilter(shard) for shard in shards]
+        seconds.append(time.perf_counter() - start)
+        chunks = sum(engine.chunk_count for engine in engines)
+    sha, dirty = _git_revision()
+    _merge_results(
+        results_dir,
+        "prefilter_compile",
+        {
+            "rules": size,
+            "patterns": len(patterns),
+            "shards": len(shards),
+            "chunks": chunks,
+            "repeats": len(seconds),
+            "median_seconds": round(statistics.median(seconds), 4),
+            "min_seconds": round(min(seconds), 4),
+            "max_seconds": round(max(seconds), 4),
+            "cpu_count": os.cpu_count(),
+            "git_sha": sha,
+            "git_dirty": dirty,
+        },
+    )
 
 
 def test_ruleset_build(benchmark):

@@ -28,13 +28,16 @@ Three non-obvious choices make the regex route both fast and *exact*:
   and the greedy trie yields the *longest* pattern at each position.  Two
   completeness fixes recover full Aho-Corasick semantics: (1) every proper
   prefix of a reported pattern that is itself a pattern also occurs at the
-  reported position (prefix closure, precomputed); (2) a pattern can hide
-  *inside* a reported span — it must then be a substring of the reported
-  pattern at offset >= 1, or start with one of its proper suffixes (overlap
-  sets, precomputed) — and those few candidates are confirmed with a single
-  C-level ``in`` check.  Any pattern occurrence not covered by these cases
-  would have been the leftmost match of some ``finditer`` step, hence
-  reported.
+  reported position (prefix closure); (2) a pattern can hide *inside* a
+  reported span — it must then be a substring of the reported pattern at
+  offset >= 1, or start with one of its proper suffixes (overlap sets) —
+  and those few candidates are confirmed with a single C-level ``in``
+  check.  Any pattern occurrence not covered by these cases would have
+  been the leftmost match of some ``finditer`` step, hence reported.  Both
+  tables are precomputed per chunk from a sorted index of the patterns'
+  proper suffixes: one hash probe per proper prefix of each pattern plus
+  one ``bisect`` range scan per pattern, so the build grows with chunk
+  size times pattern length rather than with chunk size squared.
 
 Matching is case-insensitive exactly like the automaton: patterns are
 lowercased at build time and haystacks are lowercased (or declared already
@@ -45,18 +48,23 @@ differentially tested against each other (``tests/test_prefilter.py``).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Patterns per compiled chunk.  Far below any hard ``sre`` limit; bounds
-#: compile time and keeps each chunk's overlap precomputation quadratic in a
-#: small constant.
+#: the size of each compiled program and of each chunk's overlap tables.
 DEFAULT_CHUNK_SIZE = 256
 
 #: Patterns longer than this are kept out of the trie (deeply nested
 #: ``(?:...)`` groups stress ``sre_parse`` recursion) and confirmed with a
 #: direct ``in`` scan instead — a single C substring search each.
 MAX_TRIE_PATTERN = 64
+
+#: ``re.escape`` of every byte value: emitting a trie edge is one table
+#: lookup, not one ``re.escape`` call.
+_ESCAPED: Tuple[bytes, ...] = tuple(re.escape(bytes([byte])) for byte in range(256))
 
 
 def _trie_regex(texts: Sequence[bytes]) -> "re.Pattern[bytes]":
@@ -71,21 +79,22 @@ def _trie_regex(texts: Sequence[bytes]) -> "re.Pattern[bytes]":
         node[None] = True  # terminal marker
 
     def emit(node: Dict) -> bytes:
+        # A run of single-edge, non-terminal nodes is one literal.
+        literal = b""
+        while len(node) == 1 and None not in node:
+            ((byte, node),) = node.items()
+            literal += _ESCAPED[byte]
         terminal = None in node
         branches = [
-            re.escape(bytes([byte])) + emit(child)
-            for byte, child in sorted(
-                (k, v) for k, v in node.items() if k is not None
-            )
+            _ESCAPED[byte] + emit(node[byte])
+            for byte in sorted(key for key in node if key is not None)
         ]
         if not branches:
-            return b""
+            return literal
         body = b"|".join(branches)
         if terminal:
-            return b"(?:" + body + b")?"
-        if len(branches) > 1:
-            return b"(?:" + body + b")"
-        return body
+            return literal + b"(?:" + body + b")?"
+        return literal + b"(?:" + body + b")"
 
     return re.compile(emit(root))
 
@@ -104,47 +113,55 @@ class _Chunk:
     def __init__(self, texts: List[bytes], ids_by_text: Dict[bytes, Tuple[int, ...]]) -> None:
         self.regex = _trie_regex(texts)
         self.ids_by_text = ids_by_text
+        # Every table is keyed and ordered by a text's position in the chunk.
+        position = {text: index for index, text in enumerate(texts)}
+        # Each proper suffix of each text, indexed once with the positions
+        # of the texts that own it.  Only a suffix opening with some text's
+        # first byte can start an occurrence of that text, so only those are
+        # kept.  Sorted, the suffixes starting with a given text form one
+        # contiguous ``bisect`` range.
+        leads = {text[0] for text in texts}
+        suffix_owners: Dict[bytes, List[int]] = {}
+        for index, text in enumerate(texts):
+            for cut in range(1, len(text)):
+                if text[cut] in leads:
+                    suffix_owners.setdefault(text[cut:], []).append(index)
+        suffixes = sorted(suffix_owners)
         # Proper prefixes of a matched text that are themselves patterns
         # occur at the same position; fold their ids in up front.
-        self.prefix_closure: Dict[bytes, Tuple[int, ...]] = {}
+        prefixes: Dict[int, List[int]] = {}
         # Texts that can hide inside (or straddle out of) a reported match
-        # of the keyed text; confirmed per haystack with an ``in`` check.
+        # of the owner; confirmed per haystack with an ``in`` check.  For a
+        # proper suffix ``s`` of the owner, ``other`` hides inside when
+        # ``s.startswith(other)`` and straddles out when a proper prefix of
+        # ``other`` equals ``s``.  Both are looked up from ``other``'s side
+        # (one bisect range scan, one hash probe per proper prefix), so the
+        # cost grows with chunk · pattern length, not chunk².
+        overlaps: Dict[int, Set[int]] = {}
+        for index, other in enumerate(texts):
+            for cut in range(1, len(other)):
+                head = other[:cut]
+                member = position.get(head)
+                if member is not None:
+                    prefixes.setdefault(index, []).append(member)
+                for owner in suffix_owners.get(head, ()):
+                    overlaps.setdefault(owner, set()).add(index)
+            start = bisect_left(suffixes, other)
+            for suffix in islice(suffixes, start, None):
+                if not suffix.startswith(other):
+                    break
+                for owner in suffix_owners[suffix]:
+                    overlaps.setdefault(owner, set()).add(index)
+        self.prefix_closure: Dict[bytes, Tuple[int, ...]] = {}
         self.overlap_texts: Dict[bytes, Tuple[bytes, ...]] = {}
-        # ``other`` straddles out of ``text`` iff a proper prefix of
-        # ``other`` equals a proper suffix of ``text`` (the match then
-        # extends past text's end).  Indexing every proper suffix once and
-        # probing with other's prefixes costs O(chunk · len) hash lookups,
-        # where the former pairwise ``startswith`` sweep was
-        # O(chunk² · len) — the difference between a sub-second and a
-        # ten-second compile at 10k-rule scale.
-        suffix_owners: Dict[bytes, List[bytes]] = {}
-        for text in texts:
-            for cut in range(1, len(text)):
-                suffix_owners.setdefault(text[cut:], []).append(text)
-        straddle_for: Dict[bytes, Set[bytes]] = {}
-        for other in texts:
-            for j in range(1, len(other)):  # proper prefixes: j < len(other)
-                owners = suffix_owners.get(other[:j])
-                if owners:
-                    for text in owners:
-                        if text is not other:
-                            straddle_for.setdefault(text, set()).add(other)
-        empty: Set[bytes] = set()
-        for text in texts:
+        for index, text in enumerate(texts):
             ids = list(ids_by_text[text])
-            interior = text[1:]
-            straddlers = straddle_for.get(text, empty)
-            overlaps = []
-            for other in texts:
-                if other is text:
-                    continue
-                if text.startswith(other):  # proper prefix (texts are unique)
-                    ids.extend(ids_by_text[other])
-                    continue
-                if other in straddlers or other in interior:
-                    overlaps.append(other)
+            members = sorted(prefixes.get(index, ()))
+            for member in members:
+                ids.extend(ids_by_text[texts[member]])
+            hidden = overlaps.get(index, set()).difference(members, (index,))
             self.prefix_closure[text] = tuple(ids)
-            self.overlap_texts[text] = tuple(overlaps)
+            self.overlap_texts[text] = tuple(texts[i] for i in sorted(hidden))
         self.any_overlaps = any(self.overlap_texts.values())
 
 

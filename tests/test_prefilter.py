@@ -5,7 +5,8 @@ engines advertise the same contract — and the hypothesis properties check
 the strong form directly: :class:`RegexPrefilter` and
 :class:`AhoCorasick` nominate *identical* pattern-id sets on arbitrary
 inputs, including dense self-overlapping alphabets and awkward chunk
-boundaries.
+boundaries.  The per-chunk closure tables are also held tuple for tuple to
+the pairwise sweep they replaced (``_pairwise_tables``).
 """
 
 import pytest
@@ -17,7 +18,10 @@ from repro.nids.prefilter import (
     DEFAULT_CHUNK_SIZE,
     MAX_TRIE_PATTERN,
     RegexPrefilter,
+    _Chunk,
+    _trie_regex,
 )
+from repro.nids.scale import ScaleConfig, generate_scaled
 
 
 class TestRegexPrefilter:
@@ -105,6 +109,15 @@ class TestRegexPrefilter:
         prefilter = RegexPrefilter(patterns)
         assert prefilter.chunk_count == 1
 
+    def test_trie_regex_source(self):
+        # Single-edge runs emit as one literal; a terminal with extensions
+        # becomes an optional group, tried greedily first.
+        assert _trie_regex([b"abc", b"abd", b"a"]).pattern == b"a(?:b(?:c|d))?"
+        assert _trie_regex([b"he", b"she", b"his", b"hers"]).pattern == (
+            b"(?:h(?:e(?:rs)?|is)|she)"
+        )
+        assert _trie_regex([b".*", b"a+b"]).pattern == b"(?:\\.\\*|a\\+b)"
+
     def test_regex_metacharacters_are_literal(self):
         prefilter = RegexPrefilter([b".*", b"a+b", b"(x)"])
         assert prefilter.search(b"literal .* here") == {0}
@@ -156,3 +169,113 @@ def test_dense_overlaps_equivalent_to_automaton(patterns, haystack, chunk):
     assert prefilter.contains_any(haystack) == automaton.contains_any(
         haystack
     )
+
+
+def _pairwise_tables(texts, ids_by_text):
+    """Oracle: the pairwise O(chunk²) closure sweep the suffix index
+    replaced, kept verbatim so the two can be compared table for table."""
+    prefix_closure = {}
+    overlap_texts = {}
+    suffix_owners = {}
+    for text in texts:
+        for cut in range(1, len(text)):
+            suffix_owners.setdefault(text[cut:], []).append(text)
+    straddle_for = {}
+    for other in texts:
+        for j in range(1, len(other)):  # proper prefixes: j < len(other)
+            owners = suffix_owners.get(other[:j])
+            if owners:
+                for text in owners:
+                    if text is not other:
+                        straddle_for.setdefault(text, set()).add(other)
+    empty = set()
+    for text in texts:
+        ids = list(ids_by_text[text])
+        interior = text[1:]
+        straddlers = straddle_for.get(text, empty)
+        overlaps = []
+        for other in texts:
+            if other is text:
+                continue
+            if text.startswith(other):  # proper prefix (texts are unique)
+                ids.extend(ids_by_text[other])
+                continue
+            if other in straddlers or other in interior:
+                overlaps.append(other)
+        prefix_closure[text] = tuple(ids)
+        overlap_texts[text] = tuple(overlaps)
+    return prefix_closure, overlap_texts
+
+
+def _chunk_inputs(patterns, chunk_size):
+    """The (texts, ids_by_text) each :class:`_Chunk` of a
+    ``RegexPrefilter(patterns, chunk_size=chunk_size)`` is built from."""
+    ids_by_text = {}
+    for index, pattern in enumerate(patterns):
+        ids_by_text.setdefault(pattern.lower(), []).append(index)
+    frozen = {text: tuple(ids) for text, ids in ids_by_text.items()}
+    short = [text for text in frozen if len(text) <= MAX_TRIE_PATTERN]
+    return [
+        (short[start : start + chunk_size], frozen)
+        for start in range(0, len(short), chunk_size)
+    ]
+
+
+def _assert_tables_match_oracle(patterns, chunk_size):
+    for texts, ids_by_text in _chunk_inputs(patterns, chunk_size):
+        chunk = _Chunk(texts, ids_by_text)
+        prefix_closure, overlap_texts = _pairwise_tables(texts, ids_by_text)
+        # Same keys, same tuples, same order — not merely equivalent sets.
+        assert list(chunk.prefix_closure.items()) == list(
+            prefix_closure.items()
+        )
+        assert list(chunk.overlap_texts.items()) == list(
+            overlap_texts.items()
+        )
+        assert chunk.any_overlaps == any(overlap_texts.values())
+
+
+_boundary_lengths = st.sampled_from(
+    [1, 2, 3, MAX_TRIE_PATTERN - 1, MAX_TRIE_PATTERN, MAX_TRIE_PATTERN + 1]
+)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            # Two-letter alphabet: maximal self-overlap.
+            st.text(alphabet="ab", min_size=1, max_size=6).map(str.encode),
+            # Mixed case: duplicates appear only after lowercasing.
+            st.text(alphabet="aAbB", min_size=1, max_size=4).map(str.encode),
+            st.binary(min_size=1, max_size=5),
+            # Lengths either side of the trie cut-off.
+            st.builds(
+                lambda unit, length: (unit * length)[:length],
+                st.sampled_from([b"a", b"ab", b"ba", b"aab"]),
+                _boundary_lengths,
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=400)
+def test_closure_tables_match_pairwise_oracle(patterns, chunk_size):
+    """Property: the suffix-index closure build reproduces the pairwise
+    sweep's ``prefix_closure`` and ``overlap_texts`` exactly."""
+    _assert_tables_match_oracle(patterns, chunk_size)
+
+
+def test_closure_tables_match_oracle_on_scaled_corpus():
+    """Every chunk of the 2,000-rule scaled corpus's fast-pattern table
+    builds the oracle's tables, tuple for tuple."""
+    patterns = []
+    seen = set()
+    for scaled in generate_scaled(ScaleConfig(size=2000)):
+        fast = scaled.rule.fast_pattern
+        if fast is not None and fast.pattern.lower() not in seen:
+            seen.add(fast.pattern.lower())
+            patterns.append(fast.pattern.lower())
+    assert len(patterns) > DEFAULT_CHUNK_SIZE
+    _assert_tables_match_oracle(patterns, DEFAULT_CHUNK_SIZE)
