@@ -36,8 +36,11 @@ same JSON.  ``test_prefilter_compile`` times building a
 :class:`~repro.nids.prefilter.RegexPrefilter` for every shard of the
 largest swept ruleset's fast-pattern table — the compile a Snort-scale
 rescan pays before it matches anything — recorded under
-``prefilter_compile``.  Every writer merges into ``BENCH_pipeline.json``
-rather than overwriting it, so each can run alone.
+``prefilter_compile``.  ``test_warm_analysis`` times what a warm cache hit
+re-runs on the session's study — bundle build, event/RCA/timeline
+derivation and every registered experiment — under ``warm_analysis``.
+Every writer merges into ``BENCH_pipeline.json`` rather than overwriting
+it, so each can run alone.
 """
 
 import json
@@ -386,6 +389,71 @@ def test_prefilter_compile(results_dir):
             "median_seconds": round(statistics.median(seconds), 4),
             "min_seconds": round(min(seconds), 4),
             "max_seconds": round(max(seconds), 4),
+            "cpu_count": os.cpu_count(),
+            "git_sha": sha,
+            "git_dirty": dirty,
+        },
+    )
+
+
+def test_warm_analysis(study_full, results_dir):
+    """The analysis a warm cache hit still pays, stage by stage.
+
+    A cached ``run_study`` skips traffic, capture and scan but rebuilds the
+    dataset bundle (including the synthetic NVD background population) and
+    re-derives events, RCA decisions and timelines from the stored alerts;
+    ``repro run`` then regenerates every registered experiment.  Times
+    those three stages on the session's study (``REPRO_BENCH_SCALE``)
+    ``max(3, REPRO_BENCH_REPEATS)`` times and merges median/min/max per
+    stage into ``BENCH_pipeline.json`` under ``warm_analysis``.  Every
+    repeat's derived analysis must equal the study's own.
+    """
+    from repro.analysis.pipeline import build_bundle, derive_analysis
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
+    from repro.scenarios import resolve
+
+    config = study_full.config
+    resolved = resolve(config.scenario or "paper-default", config)
+    seconds = {"build_bundle": [], "derive_analysis": [], "experiments": []}
+    for _ in range(max(3, SCAN_REPEATS)):
+        start = time.perf_counter()
+        bundle = build_bundle(resolved.plan)
+        seconds["build_bundle"].append(time.perf_counter() - start)
+
+        start = time.perf_counter()
+        analysis = derive_analysis(
+            bundle, study_full.alerts, study_full.store, rca=resolved.build_rca
+        )
+        seconds["derive_analysis"].append(time.perf_counter() - start)
+        assert analysis.events_per_cve == study_full.events_per_cve
+        assert analysis.timelines == study_full.timelines
+
+        start = time.perf_counter()
+        for name in EXPERIMENTS:
+            run_experiment(name, study_full)
+        seconds["experiments"].append(time.perf_counter() - start)
+
+    events = len(study_full.kept_events)
+    assert events > 0
+    sha, dirty = _git_revision()
+    _merge_results(
+        results_dir,
+        "warm_analysis",
+        {
+            "volume_scale": config.volume_scale,
+            "background_nvd_count": config.background_nvd_count,
+            "events": events,
+            "kept_cves": len(study_full.events_per_cve),
+            "experiments": len(EXPERIMENTS),
+            "repeats": len(seconds["experiments"]),
+            "stages": {
+                stage: {
+                    "median_seconds": round(statistics.median(values), 4),
+                    "min_seconds": round(min(values), 4),
+                    "max_seconds": round(max(values), 4),
+                }
+                for stage, values in seconds.items()
+            },
             "cpu_count": os.cpu_count(),
             "git_sha": sha,
             "git_dirty": dirty,

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+from repro.core.exposure import _publication_anchors
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW
-from repro.lifecycle.events import CveTimeline, P
+from repro.lifecycle.events import CveTimeline
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.util.stats import bin_counts
 from repro.util.timeutil import TimeWindow, to_days
@@ -62,15 +63,12 @@ def events_relative_to_publication(
     hi_days: float = 500.0,
 ) -> List[Tuple[float, int]]:
     """Figure 4: exploit events binned by days since their CVE's P."""
+    anchors = _publication_anchors(timelines)
     offsets: List[float] = []
     for event in events:
-        timeline = timelines.get(event.cve_id)
-        if timeline is None:
-            continue
-        published = timeline.time(P)
-        if published is None:
-            continue
-        offsets.append(to_days(event.timestamp - published))
+        anchor = anchors.get(event.cve_id)
+        if anchor is not None:
+            offsets.append(to_days(event.timestamp - anchor[0]))
     return bin_counts(offsets, bin_width=bin_days, lo=lo_days, hi=hi_days)
 
 

@@ -15,12 +15,16 @@ publication — falls out of the unmitigated CDF.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from datetime import datetime
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.lifecycle.events import CveTimeline, D, P
 from repro.lifecycle.exploit_events import ExploitEvent
-from repro.util.stats import Ecdf, bin_counts
+from repro.util.stats import Ecdf, bin_edges
 from repro.util.timeutil import to_days
 
 
@@ -37,16 +41,26 @@ class CveBin(object):
         return self.mitigated_cves + self.unmitigated_cves
 
 
-def _days_since_publication(
-    event: ExploitEvent, timelines: Mapping[str, CveTimeline]
-) -> Optional[float]:
-    timeline = timelines.get(event.cve_id)
-    if timeline is None:
-        return None
-    published = timeline.time(P)
-    if published is None:
-        return None
-    return to_days(event.timestamp - published)
+def _publication_anchors(
+    timelines: Mapping[str, CveTimeline],
+) -> Dict[str, Tuple[datetime, Optional[float]]]:
+    """Each CVE's P and its D − P gap in days (None when D is unknown).
+
+    Only timelines with a known P appear.  Resolving these once per CVE
+    leaves the per-event loops of Figures 4, 6 and 7 one dict lookup and
+    one :func:`to_days` each; day gaps keep ``to_days``'s exact
+    ``total_seconds() / 86400.0`` arithmetic (the value-identity rule of
+    :mod:`repro.store.kernels`).
+    """
+    anchors: Dict[str, Tuple[datetime, Optional[float]]] = {}
+    for cve_id, timeline in timelines.items():
+        published = timeline.time(P)
+        if published is None:
+            continue
+        deployed = timeline.time(D)
+        gap = None if deployed is None else to_days(deployed - published)
+        anchors[cve_id] = (published, gap)
+    return anchors
 
 
 def unique_cve_bins(
@@ -62,37 +76,34 @@ def unique_cve_bins(
     Following the caption — "CVEs are separated based on whether an IDS
     rule is available during that bin" — a CVE counts as *mitigated* in a
     bin when its rule deployment D falls before the bin's end, regardless
-    of individual event flags.
+    of individual event flags.  Bins are keyed by index over the edges
+    :func:`~repro.util.stats.bin_counts` uses
+    (:func:`~repro.util.stats.bin_edges`), so any ``bin_days`` covers
+    ``[lo_days, hi_days)`` without drift.
     """
-    per_bin: Dict[float, Dict[str, bool]] = {}
+    edges = bin_edges(bin_width=bin_days, lo=lo_days, hi=hi_days)
+    labels = np.round(edges[:-1], 12).tolist()  # bin_counts' labels
+    bounds = edges.tolist()
+    anchors = _publication_anchors(timelines)
+    cves_per_bin: List[Set[str]] = [set() for _ in labels]
     for event in events:
-        days = _days_since_publication(event, timelines)
-        if days is None or not lo_days <= days < hi_days:
+        anchor = anchors.get(event.cve_id)
+        if anchor is None:
             continue
-        bin_start = lo_days + bin_days * int((days - lo_days) // bin_days)
-        cves = per_bin.setdefault(bin_start, {})
-        timeline = timelines[event.cve_id]
-        deployed = timeline.time(D)
-        published = timeline.time(P)
-        rule_available = (
-            deployed is not None
-            and published is not None
-            and to_days(deployed - published) < bin_start + bin_days
-        )
-        cves[event.cve_id] = rule_available
+        days = to_days(event.timestamp - anchor[0])
+        if lo_days <= days < hi_days:
+            cves_per_bin[bisect_right(bounds, days) - 1].add(event.cve_id)
     bins: List[CveBin] = []
-    start = lo_days
-    while start < hi_days:
-        cves = per_bin.get(start, {})
-        mitigated = sum(1 for flag in cves.values() if flag)
+    for label, end, cves in zip(labels, bounds[1:], cves_per_bin):
+        gaps = [anchors[cve_id][1] for cve_id in cves]
+        mitigated = sum(1 for gap in gaps if gap is not None and gap < end)
         bins.append(
             CveBin(
-                bin_start_days=start,
+                bin_start_days=label,
                 mitigated_cves=mitigated,
                 unmitigated_cves=len(cves) - mitigated,
             )
         )
-        start += bin_days
     return bins
 
 
@@ -102,13 +113,14 @@ def exposure_cdf(
 ) -> Tuple[Ecdf, Ecdf]:
     """(mitigated, unmitigated) CDFs of events over days since publication
     (Figure 7)."""
+    anchors = _publication_anchors(timelines)
     mitigated: List[float] = []
     unmitigated: List[float] = []
     for event in events:
-        days = _days_since_publication(event, timelines)
-        if days is None:
-            continue
-        (mitigated if event.mitigated else unmitigated).append(days)
+        anchor = anchors.get(event.cve_id)
+        if anchor is not None:
+            days = to_days(event.timestamp - anchor[0])
+            (mitigated if event.mitigated else unmitigated).append(days)
     return Ecdf.from_values(mitigated), Ecdf.from_values(unmitigated)
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from datetime import timedelta
 from typing import List, Optional
 
+import numpy as np
+
 from repro.datasets.catalog import CVE_PROFILES
 from repro.datasets.records import CveRecord
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW
@@ -80,18 +82,23 @@ def background_population(
     probabilities = [weight / total for weight in weights]
     bucket_choices = rng.choice(len(edges), size=count, p=probabilities)
     offsets = rng.uniform(0.0, window.duration.total_seconds(), size=count)
+    # One vector draw consumes the generator exactly as a per-record scalar
+    # ``rng.uniform(low, high)`` loop would: element i is low_i + (high_i -
+    # low_i) * u_i with the same u_i, so the scores are bit-identical.
+    highs = edges[1:] + [10.0]
+    scores = rng.uniform(
+        np.take(edges, bucket_choices), np.take(highs, bucket_choices)
+    )
     records = []
-    for index in range(count):
-        bucket = int(bucket_choices[index])
-        low = edges[bucket]
-        high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
-        cvss = round(float(rng.uniform(low, high)), 1)
-        published = window.start + timedelta(seconds=float(offsets[index]))
+    for index, (offset, score) in enumerate(
+        zip(offsets.tolist(), scores.tolist())
+    ):
+        published = window.start + timedelta(seconds=offset)
         records.append(
             CveRecord(
                 cve_id=f"CVE-{published.year}-9{index:05d}",
                 published=published,
-                cvss=min(cvss, 10.0),
+                cvss=min(round(score, 1), 10.0),
                 description="synthetic background CVE",
             )
         )

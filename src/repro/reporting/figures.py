@@ -45,9 +45,10 @@ def figure_series(name: str, source) -> FigureSeries:
 
 def downsample_cdf(cdf: Ecdf, *, points: int = 200) -> FigureSeries:
     """A fixed-size rendering of a (possibly huge) CDF."""
-    series = cdf.series()
-    if len(series) <= points:
-        return FigureSeries(name="cdf", points=series)
-    step = (len(series) - 1) / (points - 1)
-    sampled = [series[round(i * step)] for i in range(points)]
-    return FigureSeries(name="cdf", points=sampled)
+    if cdf.n <= points:
+        return FigureSeries(name="cdf", points=cdf.series())
+    # Pick the sampled indices first so only ``points`` pairs are built.
+    step = (cdf.n - 1) / (points - 1)
+    indices = [round(i * step) for i in range(points)]
+    sampled = Ecdf(xs=cdf.xs[indices], ps=cdf.ps[indices])
+    return FigureSeries(name="cdf", points=sampled.series())

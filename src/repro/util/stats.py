@@ -69,7 +69,8 @@ class Ecdf:
 
     def series(self) -> List[Tuple[float, float]]:
         """The (x, P(X<=x)) step points, suitable for plotting/printing."""
-        return [(float(x), float(p)) for x, p in zip(self.xs, self.ps)]
+        xs = np.asarray(self.xs, dtype=float).tolist()
+        return list(zip(xs, np.asarray(self.ps, dtype=float).tolist()))
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "Ecdf":
@@ -94,6 +95,38 @@ def fraction(items: Sequence[T], predicate: Callable[[T], bool]) -> float:
     if not items:
         raise ValueError("fraction over empty sequence")
     return sum(1 for item in items if predicate(item)) / len(items)
+
+
+def bin_edges(*, bin_width: float, lo: float, hi: float) -> np.ndarray:
+    """Edges of the fixed-width bins :func:`bin_counts` counts over [lo, hi).
+
+    The first edge is exactly ``lo`` and the last exactly ``hi``; bin ``i``
+    is ``[edges[i], edges[i + 1])``.  Any other binned series keyed by
+    integer bin index shares these edges so its labels cannot drift.
+
+    >>> bin_edges(bin_width=3.0, lo=0.0, hi=10.0).tolist()
+    [0.0, 3.0, 6.0, 9.0, 10.0]
+    """
+    if bin_width <= 0:
+        raise ValueError("bin_width must be positive")
+    if hi <= lo:
+        raise ValueError("empty bin range")
+    # An accumulating np.arange(lo, hi + w/2, w) drifts for widths with no
+    # exact binary representation (its last edge can fall short of hi,
+    # silently dropping in-range values near the top).  Derive an integer
+    # bin count instead and let linspace divide [lo, hi] exactly; a
+    # non-dividing width keeps its floor(range / width) full bins plus one
+    # partial bin reaching hi.
+    span = (hi - lo) / bin_width
+    divides = abs(span - round(span)) < 1e-9
+    n_bins = max(1, round(span) if divides else int(span))
+    top = hi if divides else lo + n_bins * bin_width
+    edges = np.linspace(lo, top, n_bins + 1)
+    if top < hi:
+        # A width wider than the whole range (n_bins forced to 1) already
+        # covers [lo, hi); otherwise emit the partial tail bin [top, hi).
+        edges = np.append(edges, hi)
+    return edges
 
 
 def bin_counts(
@@ -126,25 +159,7 @@ def bin_counts(
     >>> bin_counts([9.5], bin_width=3.0, lo=0.0, hi=10.0)
     [(0.0, 0), (3.0, 0), (6.0, 0), (9.0, 1)]
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if hi <= lo:
-        raise ValueError("empty bin range")
-    # An accumulating np.arange(lo, hi + w/2, w) drifts for widths with no
-    # exact binary representation (its last edge can fall short of hi,
-    # silently dropping in-range values near the top).  Derive an integer
-    # bin count instead and let linspace divide [lo, hi] exactly; a
-    # non-dividing width keeps its floor(range / width) full bins plus one
-    # partial bin reaching hi.
-    span = (hi - lo) / bin_width
-    divides = abs(span - round(span)) < 1e-9
-    n_bins = max(1, round(span) if divides else int(span))
-    top = hi if divides else lo + n_bins * bin_width
-    edges = np.linspace(lo, top, n_bins + 1)
-    if top < hi:
-        # A width wider than the whole range (n_bins forced to 1) already
-        # covers [lo, hi); otherwise emit the partial tail bin [top, hi).
-        edges = np.append(edges, hi)
+    edges = bin_edges(bin_width=bin_width, lo=lo, hi=hi)
     data = np.asarray(list(values), dtype=float)
     data = data[(data >= lo) & (data < hi)]
     counts, _ = np.histogram(data, bins=edges)

@@ -1,10 +1,17 @@
 """Tests for the CERT model core: desiderata, histories, skill, per-event,
 windows, hypothetical, exposure."""
 
+import signal
+from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
+from typing import Dict, List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.trends import events_relative_to_publication
 
 from repro.core.desiderata import (
     DESIDERATA,
@@ -15,6 +22,7 @@ from repro.core.desiderata import (
     relation,
 )
 from repro.core.exposure import (
+    CveBin,
     exposure_cdf,
     mitigated_share,
     unique_cve_bins,
@@ -31,6 +39,7 @@ from repro.core.hypothetical import ids_vendor_inclusion_experiment, shift_timel
 from repro.core.perevent import per_event_satisfaction
 from repro.core.skill import (
     PAPER_BASELINES,
+    SkillReport,
     compute_skill,
     mean_skill,
     skill,
@@ -46,7 +55,8 @@ from repro.core.windows import (
 from repro.lifecycle.events import A, CveTimeline, D, F, LifecycleEvent, P, V, X
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.util.rng import derive_rng
-from repro.util.timeutil import utc
+from repro.util.stats import Ecdf, bin_counts
+from repro.util.timeutil import to_days, utc
 
 T0 = utc(2022, 1, 1)
 
@@ -350,3 +360,286 @@ class TestExposure:
         slow_bin = [b for b in bins if b.bin_start_days == 5.0][0]
         # cve-slow's rule (day 50) not available during bin [5, 10).
         assert slow_bin.unmitigated_cves == 1
+
+    def test_rule_deployed_exactly_at_bin_end_is_not_available(self):
+        # "Available during the bin" is strict: D − P == bin end misses it.
+        timelines = {"cve-edge": _timeline(cve="cve-edge", P=0, D=5)}
+        events = [
+            ExploitEvent(
+                cve_id="cve-edge", timestamp=T0 + timedelta(days=day), sid=1,
+                session_id=i, src_ip=1, dst_ip=2, dst_port=80, mitigated=False,
+            )
+            for i, day in enumerate([2, 7])
+        ]
+        bins = {b.bin_start_days: b for b in unique_cve_bins(events, timelines)}
+        assert (bins[0.0].mitigated_cves, bins[0.0].unmitigated_cves) == (0, 1)
+        assert (bins[5.0].mitigated_cves, bins[5.0].unmitigated_cves) == (1, 0)
+        assert list(bins.values()) == _oracle_unique_cve_bins(events, timelines)
+
+
+class TestUniqueCveBinsEdges:
+    """Bins are keyed by index over :func:`bin_edges`, not by float sums."""
+
+    @staticmethod
+    def _one_cve_per_day(days):
+        timelines, events = {}, []
+        for i, day in enumerate(days):
+            cve = f"CVE-{i}"
+            timelines[cve] = _timeline(cve=cve, P=0, D=0)
+            events.append(
+                ExploitEvent(
+                    cve_id=cve, timestamp=T0 + timedelta(days=day), sid=1,
+                    session_id=i, src_ip=1, dst_ip=2, dst_port=80,
+                    mitigated=True,
+                )
+            )
+        return events, timelines
+
+    def test_non_representable_width_counts_every_in_range_event(self):
+        # A float-sum key (lo + w * k) never matched the accumulated bin
+        # starts for w = 0.7: 99% of in-range events were dropped and the
+        # last label drifted to 399.89999999999606.
+        events, timelines = self._one_cve_per_day(range(-60, 400))
+        bins = unique_cve_bins(events, timelines, bin_days=0.7)
+        assert sum(b.total for b in bins) == len(events)
+        assert bins[0].bin_start_days == -60.0
+        assert bins[-1].bin_start_days == 399.9
+        assert [b.bin_start_days for b in bins] == [
+            edge for edge, _ in bin_counts([], bin_width=0.7, lo=-60.0, hi=400.0)
+        ]
+
+    def test_zero_width_raises_instead_of_hanging(self):
+        with _time_limit(1.0):
+            with pytest.raises(ValueError):
+                unique_cve_bins([], {}, bin_days=0.0)
+            with pytest.raises(ValueError):
+                unique_cve_bins([], {}, bin_days=-5.0)
+
+    def test_empty_range_raises(self):
+        with pytest.raises(ValueError):
+            unique_cve_bins([], {}, lo_days=10.0, hi_days=10.0)
+        with pytest.raises(ValueError):
+            unique_cve_bins([], {}, lo_days=10.0, hi_days=0.0)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail the enclosed block with TimeoutError after ``seconds``."""
+
+    def _expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- the per-event loops before per-CVE grouping, kept verbatim as oracles --
+
+
+def _oracle_per_event_satisfaction(events, timelines, *, baselines=None):
+    resolved = dict(baselines) if baselines is not None else dict(PAPER_BASELINES)
+    counts: Dict[str, List[int]] = {
+        desideratum.label: [0, 0] for desideratum in DESIDERATA
+    }
+    for event in events:
+        timeline = timelines.get(event.cve_id)
+        if timeline is None:
+            continue
+        for desideratum in DESIDERATA:
+            if desideratum.second is A:
+                other = timeline.time(desideratum.first)
+                if other is None:
+                    continue
+                outcome = other < event.timestamp
+            else:
+                cve_outcome = desideratum.satisfied_by(timeline)
+                if cve_outcome is None:
+                    continue
+                outcome = cve_outcome
+            bucket = counts[desideratum.label]
+            bucket[1] += 1
+            bucket[0] += int(outcome)
+    return [
+        SkillReport(
+            desideratum=desideratum,
+            satisfied=counts[desideratum.label][0],
+            evaluated=counts[desideratum.label][1],
+            baseline=resolved[desideratum.label],
+        )
+        for desideratum in DESIDERATA
+    ]
+
+
+def _oracle_days_since_publication(event, timelines):
+    timeline = timelines.get(event.cve_id)
+    if timeline is None:
+        return None
+    published = timeline.time(P)
+    if published is None:
+        return None
+    return to_days(event.timestamp - published)
+
+
+def _oracle_unique_cve_bins(
+    events, timelines, *, bin_days=5.0, lo_days=-60.0, hi_days=400.0
+):
+    per_bin = {}
+    for event in events:
+        days = _oracle_days_since_publication(event, timelines)
+        if days is None or not lo_days <= days < hi_days:
+            continue
+        bin_start = lo_days + bin_days * int((days - lo_days) // bin_days)
+        cves = per_bin.setdefault(bin_start, {})
+        timeline = timelines[event.cve_id]
+        deployed = timeline.time(D)
+        published = timeline.time(P)
+        rule_available = (
+            deployed is not None
+            and published is not None
+            and to_days(deployed - published) < bin_start + bin_days
+        )
+        cves[event.cve_id] = rule_available
+    bins = []
+    start = lo_days
+    while start < hi_days:
+        cves = per_bin.get(start, {})
+        mitigated = sum(1 for flag in cves.values() if flag)
+        bins.append(
+            CveBin(
+                bin_start_days=start,
+                mitigated_cves=mitigated,
+                unmitigated_cves=len(cves) - mitigated,
+            )
+        )
+        start += bin_days
+    return bins
+
+
+def _oracle_exposure_cdf(events, timelines):
+    mitigated = []
+    unmitigated = []
+    for event in events:
+        days = _oracle_days_since_publication(event, timelines)
+        if days is None:
+            continue
+        (mitigated if event.mitigated else unmitigated).append(days)
+    return Ecdf.from_values(mitigated), Ecdf.from_values(unmitigated)
+
+
+def _oracle_events_relative_to_publication(
+    events, timelines, *, bin_days=7.0, lo_days=-200.0, hi_days=500.0
+):
+    offsets = []
+    for event in events:
+        timeline = timelines.get(event.cve_id)
+        if timeline is None:
+            continue
+        published = timeline.time(P)
+        if published is None:
+            continue
+        offsets.append(to_days(event.timestamp - published))
+    return bin_counts(offsets, bin_width=bin_days, lo=lo_days, hi=hi_days)
+
+
+# -- strategies: few CVEs, instants on a coarse grid so ties are common -----
+
+_CVES = ("CVE-A", "CVE-B", "CVE-C")
+#: Events of this CVE never get a timeline, and may carry no timestamp.
+_ORPHAN = "CVE-ORPHAN"
+
+
+def _instants(days):
+    """Instants ``days`` apart-ish: whole days, ±1 µs nudges and half days,
+    so equal timestamps and near-edge day gaps both occur."""
+    return st.builds(
+        lambda day, micros: T0 + timedelta(days=day, microseconds=micros),
+        days,
+        st.sampled_from([0, 0, 0, 1, -1, 43_200_000_000]),
+    )
+
+
+def _worlds(days):
+    instants = _instants(days)
+    lifecycle = st.dictionaries(
+        st.sampled_from(list(LifecycleEvent)), st.one_of(st.none(), instants)
+    )
+    timelines = st.dictionaries(st.sampled_from(_CVES), lifecycle).map(
+        lambda spec: {
+            cve: CveTimeline(cve_id=cve, times=dict(times))
+            for cve, times in spec.items()
+        }
+    )
+    event_specs = st.one_of(
+        st.tuples(st.sampled_from(_CVES), instants, st.booleans()),
+        st.tuples(st.just(_ORPHAN), st.one_of(st.none(), instants), st.booleans()),
+    )
+    events = st.lists(event_specs, max_size=40).map(
+        lambda specs: [
+            ExploitEvent(
+                cve_id=cve, timestamp=when, sid=1, session_id=i, src_ip=1,
+                dst_ip=2, dst_port=80, mitigated=mitigated,
+            )
+            for i, (cve, when, mitigated) in enumerate(specs)
+        ]
+    )
+    return st.tuples(events, timelines)
+
+
+def _cdf_values(cdf):
+    return cdf.xs.tolist(), cdf.ps.tolist()
+
+
+class TestGroupedEqualsPerEventOracle:
+    """The per-CVE rewrites return exactly what the per-event loops did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_worlds(st.integers(-3, 3)))
+    def test_per_event_satisfaction(self, world):
+        events, timelines = world
+        expected = _oracle_per_event_satisfaction(events, timelines)
+        assert per_event_satisfaction(events, timelines) == expected
+        for report, oracle in zip(
+            per_event_satisfaction(events, timelines), expected
+        ):
+            assert type(report.satisfied) is type(oracle.satisfied) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(_worlds(st.sampled_from([-65, -60, -55, -5, 0, 5, 10, 395, 400, 405])))
+    def test_exposure_and_bins(self, world):
+        # Few day offsets, all on or next to the default Figure 6 bin edges
+        # and range ends: events and D − P gaps land on (and 1 µs either
+        # side of) a bin boundary often.
+        events, timelines = world
+        mitigated, unmitigated = exposure_cdf(events, timelines)
+        oracle_mitigated, oracle_unmitigated = _oracle_exposure_cdf(
+            events, timelines
+        )
+        assert _cdf_values(mitigated) == _cdf_values(oracle_mitigated)
+        assert _cdf_values(unmitigated) == _cdf_values(oracle_unmitigated)
+        assert unique_cve_bins(events, timelines) == _oracle_unique_cve_bins(
+            events, timelines
+        )
+        assert events_relative_to_publication(
+            events, timelines
+        ) == _oracle_events_relative_to_publication(events, timelines)
+
+    def test_study_run(self, study):
+        events, timelines = study.kept_events, study.timelines
+        assert per_event_satisfaction(
+            events, timelines
+        ) == _oracle_per_event_satisfaction(events, timelines)
+        for new, old in zip(
+            exposure_cdf(events, timelines), _oracle_exposure_cdf(events, timelines)
+        ):
+            assert _cdf_values(new) == _cdf_values(old)
+        assert unique_cve_bins(events, timelines) == _oracle_unique_cve_bins(
+            events, timelines
+        )
+        assert events_relative_to_publication(
+            events, timelines
+        ) == _oracle_events_relative_to_publication(events, timelines)

@@ -22,7 +22,11 @@ from repro.datasets.catalog import (
 from repro.datasets.kev import KEV_PROGRAM_START, build_kev, kev_cvss_scores
 from repro.datasets.loader import build_bundle
 from repro.datasets.sources import default_plan
-from repro.datasets.nvd import background_population, studied_cve_records
+from repro.datasets.nvd import (
+    _CVSS_BUCKETS,
+    background_population,
+    studied_cve_records,
+)
 from repro.datasets.records import CveRecord, ExploitEvidence, KevEntry
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW, seed_by_id, total_events
 from repro.datasets.seed_log4shell import (
@@ -41,6 +45,8 @@ from repro.datasets.talos import (
     sid_for,
     talos_reports_from_seeds,
 )
+from repro.util.rng import derive_rng
+from repro.util.timeutil import TimeWindow, utc
 
 
 class TestSeedTable:
@@ -172,6 +178,36 @@ class TestCatalog:
             profile_for("CVE-1999-0001")
 
 
+def _oracle_background_population(*, seed, count=20000, window=None):
+    """The per-record scalar-draw loop, kept verbatim as an oracle."""
+    if count <= 0:
+        raise ValueError("count must be positive")
+    window = window or STUDY_WINDOW
+    rng = derive_rng(seed, "nvd-background")
+    edges = [edge for edge, _ in _CVSS_BUCKETS]
+    weights = [weight for _, weight in _CVSS_BUCKETS]
+    total = sum(weights)
+    probabilities = [weight / total for weight in weights]
+    bucket_choices = rng.choice(len(edges), size=count, p=probabilities)
+    offsets = rng.uniform(0.0, window.duration.total_seconds(), size=count)
+    records = []
+    for index in range(count):
+        bucket = int(bucket_choices[index])
+        low = edges[bucket]
+        high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
+        cvss = round(float(rng.uniform(low, high)), 1)
+        published = window.start + timedelta(seconds=float(offsets[index]))
+        records.append(
+            CveRecord(
+                cve_id=f"CVE-{published.year}-9{index:05d}",
+                published=published,
+                cvss=min(cvss, 10.0),
+                description="synthetic background CVE",
+            )
+        )
+    return records
+
+
 class TestNvd:
     def test_studied_records_carry_seed_data(self):
         records = {r.cve_id: r for r in studied_cve_records()}
@@ -195,6 +231,22 @@ class TestNvd:
     def test_background_rejects_bad_count(self):
         with pytest.raises(ValueError):
             background_population(seed=1, count=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 1234])
+    @pytest.mark.parametrize("count", [1, 5, 2000])
+    def test_background_equals_scalar_draw_oracle(self, seed, count):
+        assert background_population(
+            seed=seed, count=count
+        ) == _oracle_background_population(seed=seed, count=count)
+
+    def test_background_equals_oracle_at_bench_count_and_custom_window(self):
+        assert background_population(
+            seed=1, count=20000
+        ) == _oracle_background_population(seed=1, count=20000)
+        window = TimeWindow(utc(2019, 3, 1), utc(2019, 3, 9, 12))
+        assert background_population(
+            seed=3, count=50, window=window
+        ) == _oracle_background_population(seed=3, count=50, window=window)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,28 @@ class TestExploitEvents:
         times = [e.timestamp for e in grouped["CVE-2021-0001"]]
         assert times == sorted(times)
 
+    def test_events_from_alerts_equals_loop_oracle(self, study):
+        # The pre-comprehension loop, kept verbatim as an oracle.
+        expected = []
+        for alert in study.alerts:
+            if alert.cve_id is None:
+                continue
+            expected.append(
+                ExploitEvent(
+                    cve_id=alert.cve_id,
+                    timestamp=alert.timestamp,
+                    sid=alert.sid,
+                    session_id=alert.session_id,
+                    src_ip=alert.src_ip,
+                    dst_ip=alert.dst_ip,
+                    dst_port=alert.dst_port,
+                    mitigated=not alert.pre_publication,
+                )
+            )
+        alerts = list(study.alerts) + [_alert(cve=None, sid=2)]
+        assert expected
+        assert events_from_alerts(alerts) == expected
+
     def test_first_attacks(self):
         alerts = [
             _alert(when=T0 + timedelta(days=2)),

@@ -59,6 +59,19 @@ class TestFigureSeries:
     def test_summary_empty(self):
         assert "(empty)" in FigureSeries("e", []).summary()
 
+    def test_series_and_downsample_equal_elementwise_oracle(self):
+        cdf = Ecdf.from_values([0.1 * i for i in range(997)] + [3.0] * 5)
+        full = [(float(x), float(p)) for x, p in zip(cdf.xs, cdf.ps)]
+        assert cdf.series() == full
+        assert all(type(x) is float for point in cdf.series() for x in point)
+        for points in (2, 7, 200, 1002, 5000):
+            if len(full) <= points:
+                expected = full
+            else:
+                step = (len(full) - 1) / (points - 1)
+                expected = [full[round(i * step)] for i in range(points)]
+            assert downsample_cdf(cdf, points=points).points == expected
+
     def test_downsample_bounds(self):
         cdf = Ecdf.from_values(list(range(1000)))
         series = downsample_cdf(cdf, points=50)
