@@ -14,7 +14,8 @@ Subcommands::
     repro feeds       real-feed snapshots: fetch (network, explicit only),
                       verify content hashes, show parsed record counts
     repro report      per-CVE lifecycle dossier from a study run
-    repro trace       render a run manifest's span tree (where time went)
+    repro trace       render a run manifest's span tree (where time went);
+                      `trace --diff A B` compares two manifests span by span
     repro metrics     render a run manifest's metrics snapshot
     repro list        list regenerable experiments
     repro rules       dump the study ruleset; `rules gen|lint|bench` work
@@ -414,9 +415,18 @@ def _resolve_manifest_path(args: argparse.Namespace) -> Optional[Path]:
     return latest_manifest(root)
 
 
-def _load_manifest(args: argparse.Namespace):
+def _read_manifest(path: Path):
+    """The manifest at ``path``, or None after a one-line error on stderr."""
     from repro.obs import RunManifest
 
+    try:
+        return RunManifest.load(path)
+    except (OSError, ValueError) as error:
+        print(f"error: {path}: {error}", file=sys.stderr)
+        return None
+
+
+def _load_manifest(args: argparse.Namespace):
     path = _resolve_manifest_path(args)
     if path is None or not path.exists():
         print(
@@ -425,12 +435,37 @@ def _load_manifest(args: argparse.Namespace):
             file=sys.stderr,
         )
         return None, None
-    return path, RunManifest.load(path)
+    manifest = _read_manifest(path)
+    return (path, manifest) if manifest is not None else (None, None)
+
+
+def _cmd_trace_diff(args: argparse.Namespace) -> int:
+    from repro.obs.trace import diff_span_trees, render_span_diff
+
+    if args.manifest is not None:
+        print("error: pass either a manifest or --diff A B", file=sys.stderr)
+        return 2
+    before, after = (_read_manifest(Path(path)) for path in args.diff)
+    if before is None or after is None:
+        return 1
+    if args.json:
+        rows = diff_span_trees(before.spans, after.spans)
+        for row in rows:
+            row["path"] = list(row["path"])
+        print(json.dumps(rows, indent=2, sort_keys=True))
+        return 0
+    print(f"A: {args.diff[0]}")
+    print(f"B: {args.diff[1]}")
+    print()
+    print(render_span_diff(before.spans, after.spans))
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import render_span_tree
 
+    if args.diff is not None:
+        return _cmd_trace_diff(args)
     path, manifest = _load_manifest(args)
     if manifest is None:
         return 1
@@ -1215,6 +1250,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--no-attrs", action="store_true",
         help="omit span attribute lines",
+    )
+    trace_parser.add_argument(
+        "--diff", nargs=2, metavar=("A", "B"), default=None,
+        help="compare two manifests span by span: total and self time "
+             "of each side and the change from A to B",
     )
     trace_parser.set_defaults(func=_cmd_trace)
 

@@ -15,7 +15,8 @@ Two products:
 
 from __future__ import annotations
 
-from datetime import timedelta
+from datetime import datetime
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -89,17 +90,47 @@ def background_population(
     scores = rng.uniform(
         np.take(edges, bucket_choices), np.take(highs, bucket_choices)
     )
-    records = []
-    for index, (offset, score) in enumerate(
-        zip(offsets.tolist(), scores.tolist())
-    ):
-        published = window.start + timedelta(seconds=offset)
-        records.append(
-            CveRecord(
-                cve_id=f"CVE-{published.year}-9{index:05d}",
-                published=published,
-                cvss=min(round(score, 1), 10.0),
-                description="synthetic background CVE",
-            )
-        )
-    return records
+    times = _shifted(window.start, offsets)
+    years = times.astype("datetime64[Y]").astype(np.int64) + 1970
+    ids = list(map("CVE-%d-9%05d".__mod__, zip(years.tolist(), range(count))))
+    published = times.tolist()
+    cvss = _round_tenths(scores).tolist()
+    # Free the arrays before the records are built, so they do not add to
+    # the peak alongside 20k objects.
+    del bucket_choices, offsets, scores, times, years
+    if window.start.tzinfo is not None:
+        tz = window.start.tzinfo
+        published = [when.replace(tzinfo=tz) for when in published]
+    return list(
+        map(CveRecord, ids, published, cvss, repeat("synthetic background CVE"))
+    )
+
+
+def _shifted(start: datetime, seconds: np.ndarray) -> np.ndarray:
+    """``start + timedelta(seconds=s)`` for each ``s >= 0``, as ``datetime64[us]``.
+
+    ``timedelta`` keeps the whole seconds exactly and rounds the float
+    product ``frac * 1e6`` of the fractional part to whole microseconds,
+    half to even; ``modf`` and ``rint`` do the same steps in bulk.
+    """
+    fractions, whole = np.modf(seconds)
+    micros = whole.astype(np.int64) * 1_000_000 + np.rint(
+        fractions * 1e6
+    ).astype(np.int64)
+    base = np.datetime64(start.replace(tzinfo=None), "us")
+    return base + micros.astype("timedelta64[us]")
+
+
+def _round_tenths(scores: np.ndarray) -> np.ndarray:
+    """``min(round(x, 1), 10.0)`` for each score, in bulk.
+
+    ``rint(10x) / 10`` is the correctly rounded result unless the float
+    product ``10x`` crossed a ``.5`` tie, which it can only do when ``10x``
+    lies within a few ulps of one; those rare scores take builtin ``round``.
+    """
+    tenths = scores * 10.0
+    rounded = np.rint(tenths) / 10.0
+    near_tie = np.abs(tenths - np.floor(tenths) - 0.5) < 1e-6
+    if near_tie.any():
+        rounded[near_tie] = [round(x, 1) for x in scores[near_tie].tolist()]
+    return np.minimum(rounded, 10.0)

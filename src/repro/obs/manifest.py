@@ -126,23 +126,75 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Read and validate a manifest file.
+
+        Raises ``OSError`` when the file cannot be read and ``ValueError``
+        (naming the problem on one line) when it is not a valid manifest.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+        except UnicodeDecodeError as error:
+            raise ValueError(f"not UTF-8 text ({error.reason})") from None
+        except json.JSONDecodeError as error:
+            raise ValueError(f"not valid JSON: {error}") from None
+        except RecursionError:
+            raise ValueError("not valid JSON: nested too deeply") from None
+        return cls.from_dict(document)
 
 
-def _validate_span(record: object, path: str, problems: List[str]) -> None:
-    if not isinstance(record, dict):
-        problems.append(f"{path}: span is not an object")
-        return
-    if not isinstance(record.get("name"), str):
-        problems.append(f"{path}: span missing string 'name'")
-    for key in ("started", "duration"):
-        if not isinstance(record.get(key), (int, float)):
-            problems.append(f"{path}: span missing numeric {key!r}")
-    if record.get("status") not in ("ok", "error"):
-        problems.append(f"{path}: span status must be 'ok' or 'error'")
-    for index, child in enumerate(record.get("children", []) or []):
-        _validate_span(child, f"{path}.children[{index}]", problems)
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _validate_spans(spans: List[object], problems: List[str]) -> None:
+    # An explicit stack, so a deeply nested document is reported, not a
+    # RecursionError.
+    stack = [(f"spans[{index}]", span) for index, span in enumerate(spans)]
+    stack.reverse()
+    while stack:
+        path, record = stack.pop()
+        if not isinstance(record, dict):
+            problems.append(f"{path}: span is not an object")
+            continue
+        if not isinstance(record.get("name"), str):
+            problems.append(f"{path}: span missing string 'name'")
+        for key in ("started", "duration"):
+            if not _is_number(record.get(key)):
+                problems.append(f"{path}: span missing numeric {key!r}")
+        if record.get("status") not in ("ok", "error"):
+            problems.append(f"{path}: span status must be 'ok' or 'error'")
+        if record.get("attributes") is not None and not isinstance(
+            record["attributes"], dict
+        ):
+            problems.append(f"{path}: span 'attributes' is not an object")
+        children = record.get("children")
+        if children is None:
+            continue
+        if not isinstance(children, list):
+            problems.append(f"{path}: span 'children' is not a list")
+            continue
+        stack.extend(
+            (f"{path}.children[{index}]", child)
+            for index, child in reversed(list(enumerate(children)))
+        )
+
+
+def _validate_metrics(metrics: Dict[str, object], problems: List[str]) -> None:
+    for name, value in metrics["counters"].items():  # type: ignore[union-attr]
+        if not isinstance(value, int) or isinstance(value, bool):
+            problems.append(f"metrics counters[{name!r}] is not an integer")
+    for name, value in metrics["gauges"].items():  # type: ignore[union-attr]
+        if not _is_number(value):
+            problems.append(f"metrics gauges[{name!r}] is not a number")
+    for name, record in metrics["histograms"].items():  # type: ignore[union-attr]
+        if not isinstance(record, dict) or not all(
+            record.get(key) is None or _is_number(record[key])
+            for key in ("count", "sum", "min", "max")
+        ):
+            problems.append(
+                f"metrics histograms[{name!r}] is not an object of numbers"
+            )
 
 
 def validate_manifest(record: object) -> List[str]:
@@ -150,7 +202,8 @@ def validate_manifest(record: object) -> List[str]:
 
     Dependency-free on purpose: CI validates every emitted manifest with
     this exact function, and ``RunManifest.load`` refuses documents it
-    flags.
+    flags.  It never raises: every defect, however the document is
+    malformed, comes back as one problem string.
     """
     problems: List[str] = []
     if not isinstance(record, dict):
@@ -169,16 +222,20 @@ def validate_manifest(record: object) -> List[str]:
         if key not in record["study"]:
             problems.append(f"study section missing {key!r}")
     for key in _OUTCOME_KEYS:
-        if not isinstance(record["outcome"].get(key), int):
+        value = record["outcome"].get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
             problems.append(f"outcome section missing integer {key!r}")
     for key in _EXECUTION_KEYS:
         if key not in record["execution"]:
             problems.append(f"execution section missing {key!r}")
+    metrics_ok = True
     for key in _METRICS_KEYS:
         if not isinstance(record["metrics"].get(key), dict):
             problems.append(f"metrics section missing mapping {key!r}")
-    for index, span in enumerate(record["spans"]):
-        _validate_span(span, f"spans[{index}]", problems)
+            metrics_ok = False
+    if metrics_ok:
+        _validate_metrics(record["metrics"], problems)
+    _validate_spans(record["spans"], problems)
     return problems
 
 

@@ -230,3 +230,144 @@ def render_span_tree(
     for span in spans:
         walk(span, 0)
     return "\n".join(lines)
+
+
+#: Label of the diff row that charges a root's time no child span covers.
+UNATTRIBUTED = "(unattributed)"
+
+
+def _self_seconds(record: Dict[str, object]) -> float:
+    """A span's duration minus its children's: time charged to it alone."""
+    children = record.get("children") or []
+    return float(record.get("duration", 0.0)) - sum(
+        float(child.get("duration", 0.0)) for child in children
+    )
+
+
+def _labelled(spans: List[Dict[str, object]]) -> Dict[str, Dict[str, object]]:
+    """Spans keyed by name; the k-th repeat of a sibling name is ``name [k]``."""
+    seen: Dict[str, int] = {}
+    labelled: Dict[str, Dict[str, object]] = {}
+    for span in spans:
+        name = str(span.get("name", "?"))
+        seen[name] = seen.get(name, 0) + 1
+        labelled[name if seen[name] == 1 else f"{name} [{seen[name]}]"] = span
+    return labelled
+
+
+def _times(record: Optional[Dict[str, object]]) -> Optional[Dict[str, float]]:
+    if record is None:
+        return None
+    return {
+        "duration": float(record.get("duration", 0.0)),
+        "self": _self_seconds(record),
+    }
+
+
+def _delta(before, after, key: str) -> float:
+    return (after[key] if after else 0.0) - (before[key] if before else 0.0)
+
+
+def diff_span_trees(
+    before: List[Dict[str, object]], after: List[Dict[str, object]]
+) -> List[Dict[str, object]]:
+    """Align two serialised span trees by their paths of names.
+
+    One row per span in either tree, in pre-order (``before``'s order, then
+    spans only ``after`` has), plus an ``(unattributed)`` row closing each
+    root: the root's duration minus its children's.  A row carries each
+    side's ``duration`` and ``self`` seconds (None where that side lacks
+    the span), their changes (a missing side counts as zero), and each
+    side's error text when the span failed.
+    """
+    rows: List[Dict[str, object]] = []
+
+    def walk(path, old: List[Dict[str, object]], new: List[Dict[str, object]]):
+        old_by_label, new_by_label = _labelled(old), _labelled(new)
+        labels = list(old_by_label) + [
+            label for label in new_by_label if label not in old_by_label
+        ]
+        for label in labels:
+            a, b = old_by_label.get(label), new_by_label.get(label)
+            times_a, times_b = _times(a), _times(b)
+            rows.append({
+                "path": path + (label,),
+                "before": times_a,
+                "after": times_b,
+                "delta_duration": _delta(times_a, times_b, "duration"),
+                "delta_self": _delta(times_a, times_b, "self"),
+                "errors": [
+                    f"{side}: {record.get('error') or 'error'}"
+                    for side, record in (("A", a), ("B", b))
+                    if record is not None and record.get("status") == "error"
+                ],
+            })
+            walk(
+                path + (label,),
+                (a or {}).get("children") or [],
+                (b or {}).get("children") or [],
+            )
+            if not path:
+                # A root's self time is exactly the time no child covers.
+                root_a, root_b = (
+                    None if times is None else {"duration": times["self"]}
+                    for times in (times_a, times_b)
+                )
+                rows.append({
+                    "path": (label, UNATTRIBUTED),
+                    "before": root_a,
+                    "after": root_b,
+                    "delta_duration": _delta(root_a, root_b, "duration"),
+                    "delta_self": None,
+                    "errors": [],
+                })
+
+    walk((), before, after)
+    return rows
+
+
+def render_span_diff(
+    before: List[Dict[str, object]], after: List[Dict[str, object]]
+) -> str:
+    """Render :func:`diff_span_trees` as a table in milliseconds.
+
+    >>> print(render_span_diff(
+    ...     [{"name": "run", "duration": 1.0,
+    ...       "children": [{"name": "scan", "duration": 0.75}]}],
+    ...     [{"name": "run", "duration": 0.5,
+    ...       "children": [{"name": "scan", "duration": 0.25}]}]))
+    span (ms)                          A total    A self   B total    B self   Δ total    Δ self
+    run                                 1000.0     250.0     500.0     250.0    -500.0      +0.0
+      scan                               750.0     750.0     250.0     250.0    -500.0    -500.0
+      (unattributed)                     250.0               250.0                +0.0
+    """
+
+    def cell(value: Optional[float], signed: bool = False) -> str:
+        if value is None:
+            return f"{'':>9}"
+        millis = round(value * 1e3, 1) + 0.0  # no "-0.0" from float noise
+        return f"{millis:+9.1f}" if signed else f"{millis:9.1f}"
+
+    def side(times: Optional[Dict[str, float]]) -> str:
+        if times is None:
+            return f"{'-':>9} {'-':>9}"
+        return f"{cell(times['duration'])} {cell(times.get('self'))}"
+
+    header = ["A total", "A self", "B total", "B self", "Δ total", "Δ self"]
+    lines = [f"{'span (ms)':<32} " + " ".join(f"{h:>9}" for h in header)]
+    for row in diff_span_trees(before, after):
+        path = row["path"]
+        label = "  " * (len(path) - 1) + path[-1]
+        line = (
+            f"{label:<32} {side(row['before'])} {side(row['after'])} "
+            f"{cell(row['delta_duration'], True)} "
+            f"{cell(row['delta_self'], True)}"
+        )
+        if row["before"] is None:
+            line += "  (only in B)"
+        elif row["after"] is None:
+            line += "  (only in A)"
+        for error in row["errors"]:
+            line += f"  !! {error}"
+        lines.append(line.rstrip())
+    return "\n".join(lines)
