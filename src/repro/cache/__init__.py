@@ -8,18 +8,16 @@ Layering:
 
 * :mod:`repro.cache.study` — the cache itself: keying, the atomic
   publish protocol, verified loads, telemetry;
-* :mod:`repro.cache.integrity` — per-file checksums and entry verification;
+* :mod:`repro.cache.integrity` — per-file frame digests and entry
+  verification;
 * :mod:`repro.cache.gc` — staging-dir cleanup and age/size-bounded eviction;
 * :mod:`repro.cache.fingerprint` — code fingerprinting for invalidation;
-* :mod:`repro.cache.checkpoint` — crash-recovery checkpoints for partial
-  runs (same keys and publish discipline, different lifecycle).
+* :mod:`repro.cache.checkpoint` — crash recovery: a run stages each heavy
+  stage in its cache entry's staging directory as the stage finishes, and
+  a killed run's rerun adopts that directory and resumes from it.
 """
 
-from repro.cache.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointStore,
-    CheckpointTelemetry,
-)
+from repro.cache.checkpoint import CheckpointStore, CheckpointTelemetry
 from repro.cache.fingerprint import STAGE_MODULES, code_fingerprint, digest_file
 from repro.cache.gc import (
     GcReport,
@@ -27,7 +25,7 @@ from repro.cache.gc import (
     collect_garbage,
     collect_manifest_garbage,
 )
-from repro.cache.integrity import EntryReport, is_complete_entry, verify_entry
+from repro.cache.integrity import EntryReport, verify_entry
 from repro.cache.study import (
     CACHE_SCHEMA,
     CachedStudy,
@@ -40,7 +38,6 @@ from repro.cache.study import (
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CHECKPOINT_SCHEMA",
     "CachedStudy",
     "CacheTelemetry",
     "CheckpointStore",
@@ -55,7 +52,6 @@ __all__ = [
     "collect_manifest_garbage",
     "default_cache_root",
     "digest_file",
-    "is_complete_entry",
     "semantic_config",
     "study_key",
     "verify_entry",

@@ -1,65 +1,34 @@
-"""Crash-recovery checkpoints for in-flight pipeline work.
+"""Stage checkpoints: a view over the study cache entry's staging directory.
 
-The study cache (:mod:`repro.cache.study`) persists *finished* runs; this
-module persists *partial* ones.  A long run that dies mid-way — an OOM
-kill, a machine reboot, a ctrl-C — leaves behind per-stage checkpoints
-keyed by the same content hash as the study cache, so the next invocation
-of the same configuration recomputes only what is missing.
-
-Layout and protocol:
-
-* blobs live under ``<cache root>/checkpoints/<key>/<name>.frame`` — one
-  :mod:`repro.store.frame` per blob, published with an atomic
-  ``os.replace`` from a ``.tmp<pid>`` sibling, so a blob is either absent
-  or complete (the same staging/publish discipline as the study cache,
-  collapsed to one file);
-* every blob's frame header carries :data:`CHECKPOINT_SCHEMA` and a
-  BLAKE2b digest of the header and column bytes —
-  :meth:`CheckpointStore.load` re-derives it and treats any mismatch (bit
-  rot, truncation, schema drift), or a frame its decoder rejects, as a
-  miss, deleting the corrupt blob so the recompute can republish;
-* checkpoints are *recovery state, not a cache*: the pipeline deletes a
-  key's directory the moment the run it protected completes (its results
-  then live in the study cache), and :meth:`CheckpointStore.gc` reaps
-  directories that outlive ``max_age`` plus orphaned staging files.
-
-The stage codecs at the bottom translate the pipeline's heavy intermediates
-(arrival stream, session store + collection stats, alert list) to and from
-frames with the same record codecs the study cache writes, so the two
-stores can never disagree about on-disk semantics.
+A cold cached run writes each heavy stage (``arrivals``, ``store``,
+``alerts``) once, as ``<name>.frame`` under :data:`CACHE_SCHEMA`, straight
+into ``<cache root>/study/<key>.tmp<pid>`` — the directory
+:meth:`StudyCache.save <repro.cache.study.StudyCache.save>` adds
+``meta.json`` to and publishes by rename.  A run killed mid-way leaves
+exactly the stages it finished there.  A load reads a stage with its
+expected kind and column dtypes; any unreadable or mismatched frame, or
+one the caller's decoder rejects, is an integrity failure, deleted, and a
+miss.  While this process has no staging directory for a key, a load first
+adopts one whose owner pid is dead (one ``os.replace``; losing that race
+is a plain miss).  ``delete`` drops this process's staging directory for a
+key and any dead-owner ones; whatever else is left is
+:func:`repro.cache.gc.collect_garbage`'s to reap.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
+import os
 import shutil
-import time
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
+from repro.cache.gc import pid_alive, staging_owner
 from repro.obs import active_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.frame import Frame
-
-#: Bump when the blob layout changes.  2: blobs are frames (schema-1
-#: envelopes are never read).
-CHECKPOINT_SCHEMA = 2
-
-_SUFFIX = ".frame"
-_STAGING_RE = re.compile(r"\.tmp\d+$")
 
 T = TypeVar("T")
 
@@ -81,7 +50,8 @@ class CheckpointTelemetry:
 
 
 class CheckpointStore:
-    """Atomic, digest-verified blob store for partial pipeline results."""
+    """The heavy stages of one in-flight study, staged where its cache
+    entry will be published."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         from repro.cache.study import default_cache_root
@@ -97,36 +67,41 @@ class CheckpointStore:
 
         get_registry().inc(f"checkpoint.{name}", amount)
 
-    @property
-    def checkpoint_root(self) -> Path:
-        return self.root / "checkpoints"
-
     def dir_for(self, key: str) -> Path:
-        if not key or "/" in key or key.startswith("."):
+        """This process's staging directory for ``key``."""
+        from repro.cache.study import staging_dir
+
+        if not key or "/" in key or key.startswith(".") or ".tmp" in key:
             raise ValueError(f"invalid checkpoint key: {key!r}")
-        return self.checkpoint_root / key
+        return staging_dir(self.root / "study" / key)
 
-    def _blob_path(self, key: str, name: str) -> Path:
-        if not name or "/" in name or name.startswith("."):
-            raise ValueError(f"invalid checkpoint blob name: {name!r}")
-        return self.dir_for(key) / f"{name}{_SUFFIX}"
+    def _stage_path(self, key: str, name: str) -> Path:
+        from repro.store.frame import STAGE_DTYPES
 
-    # -- blob lifecycle ------------------------------------------------------
+        if name not in STAGE_DTYPES:
+            raise ValueError(f"invalid checkpoint stage name: {name!r}")
+        return self.dir_for(key) / f"{name}.frame"
+
+    def _dead_owned(self, key: str) -> List[Path]:
+        """Staging directories of ``key`` whose owner pid is dead."""
+        paths = sorted((self.root / "study").glob(f"{key}.tmp*"))
+        owners = ((path, staging_owner(path)) for path in paths)
+        return [path for path, owner in owners if owner and not pid_alive(owner[1])]
+
+    # -- stage lifecycle -----------------------------------------------------
 
     def save(self, key: str, name: str, frame: "Frame") -> Path:
-        """Persist one blob atomically; returns its path.
+        """Stage one frame atomically; returns its path.
 
-        The frame is staged in a ``.tmp<pid>`` sibling and published with
-        one ``os.replace``, so a reader can never observe a torn blob —
-        only the previous one or the new one.  Traced as
-        ``checkpoint.save`` under the active span.
+        Traced as ``checkpoint.save`` under the active span.
         """
+        from repro.cache.study import CACHE_SCHEMA
         from repro.store.frame import write_frame
 
-        path = self._blob_path(key, name)
+        path = self._stage_path(key, name)
         path.parent.mkdir(parents=True, exist_ok=True)
         with active_span("checkpoint.save", blob=name):
-            written = write_frame(frame, path, schema=CHECKPOINT_SCHEMA)
+            written = write_frame(frame, path, schema=CACHE_SCHEMA)
         self._count("saves")
         self._count("bytes_written", written)
         return path
@@ -137,13 +112,9 @@ class CheckpointStore:
         name: str,
         decode: Optional[Callable[["Frame"], T]] = None,
     ) -> Optional[Union["Frame", T]]:
-        """The blob's frame — or ``decode(frame)`` — or None.
+        """The stage's frame — or ``decode(frame)`` — or None.
 
-        A missing blob is a plain miss; an unreadable frame, a schema or
-        digest mismatch, or a frame ``decode`` rejects with ``ValueError``
-        counts an integrity failure, deletes the blob, and is reported as a
-        miss so the caller recomputes.  Traced as ``checkpoint.load`` under
-        the active span.
+        Traced as ``checkpoint.load`` under the active span.
         """
         with active_span("checkpoint.load", blob=name) as span:
             value = self._load(key, name, decode)
@@ -152,143 +123,51 @@ class CheckpointStore:
         return value
 
     def _load(self, key: str, name: str, decode):
-        from repro.store.frame import load_frame
+        from repro.cache.study import CACHE_SCHEMA
+        from repro.store.frame import STAGE_DTYPES, read_frame
 
-        path = self._blob_path(key, name)
+        path = self._stage_path(key, name)
+        if not path.parent.exists():
+            for orphan in self._dead_owned(key)[:1]:
+                try:
+                    os.replace(orphan, path.parent)
+                except OSError:
+                    pass  # another process adopted it first: a plain miss
         try:
-            raw_size = path.stat().st_size
-            frame = load_frame(path, schema=CHECKPOINT_SCHEMA)
+            data = path.read_bytes()
+            frame = read_frame(
+                data, schema=CACHE_SCHEMA, kind=name, dtypes=STAGE_DTYPES[name]
+            )
             value = decode(frame) if decode is not None else frame
         except FileNotFoundError:
             self._count("misses")
             return None
         except (OSError, ValueError):
-            self._invalidate(path)
+            self._count("integrity_failures")
+            self._count("misses")
+            path.unlink(missing_ok=True)
             return None
         self._count("hits")
-        self._count("bytes_read", raw_size)
+        self._count("bytes_read", len(data))
         return value
 
-    def _invalidate(self, path: Path) -> None:
-        self._count("integrity_failures")
-        self._count("misses")
-        path.unlink(missing_ok=True)
-
-    def has(self, key: str, name: str) -> bool:
-        return self._blob_path(key, name).exists()
-
-    def names(self, key: str) -> List[str]:
-        """Blob names present under a key (sorted; staging files excluded)."""
-        directory = self.dir_for(key)
-        if not directory.is_dir():
-            return []
-        return sorted(
-            child.name[: -len(_SUFFIX)]
-            for child in directory.iterdir()
-            if child.name.endswith(_SUFFIX)
-            and not _STAGING_RE.search(child.name)
-        )
-
     def delete(self, key: str) -> bool:
-        """Drop one key's entire checkpoint directory; True if it existed."""
-        directory = self.dir_for(key)
-        existed = directory.exists()
-        if existed:
-            shutil.rmtree(directory, ignore_errors=True)
-            self._count("deletes")
-        return existed
-
-    # -- population / lifecycle ---------------------------------------------
-
-    def keys(self) -> List[str]:
-        if not self.checkpoint_root.is_dir():
-            return []
-        return sorted(
-            child.name
-            for child in self.checkpoint_root.iterdir()
-            if child.is_dir()
-        )
-
-    def _key_info(self, key: str) -> Dict[str, object]:
-        directory = self.checkpoint_root / key
-        blobs = 0
-        total = 0
-        newest = 0.0
-        for child in directory.iterdir():
-            if not child.is_file() or _STAGING_RE.search(child.name):
-                continue
-            blobs += 1
-            try:
-                stat = child.stat()
-            except OSError:  # pragma: no cover - racing deletion
-                continue
-            total += stat.st_size
-            newest = max(newest, stat.st_mtime)
-        return {
-            "key": key,
-            "blobs": blobs,
-            "bytes": total,
-            "newest": newest,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Snapshot of the on-disk population plus this instance's counters."""
-        keys = [self._key_info(key) for key in self.keys()]
-        return {
-            "root": str(self.root),
-            "keys": keys,
-            "key_count": len(keys),
-            "total_bytes": sum(int(info["bytes"]) for info in keys),
-            "telemetry": self.telemetry.as_dict(),
-        }
-
-    def gc(
-        self,
-        *,
-        max_age: Optional[timedelta] = None,
-        now: Optional[float] = None,
-    ) -> int:
-        """Remove stale checkpoint state; returns directories removed.
-
-        Always deletes orphaned ``.tmp<pid>`` staging files; with
-        ``max_age``, additionally removes key directories whose newest blob
-        is older than the bound (an abandoned run nobody resumed).
-        """
-        if not self.checkpoint_root.is_dir():
-            return 0
-        now = time.time() if now is None else now
-        removed = 0
-        for key in self.keys():
-            directory = self.checkpoint_root / key
-            for child in directory.iterdir():
-                if child.is_file() and _STAGING_RE.search(child.name):
-                    child.unlink(missing_ok=True)
-            info = self._key_info(key)
-            empty = info["blobs"] == 0
-            expired = (
-                max_age is not None
-                and now - float(info["newest"]) > max_age.total_seconds()
-            )
-            if empty or expired:
+        """Drop this process's staging directory for ``key`` and any
+        dead-owner ones; True if anything was removed."""
+        removed = False
+        for directory in (self.dir_for(key), *self._dead_owned(key)):
+            if directory.exists():
                 shutil.rmtree(directory, ignore_errors=True)
-                self._count("deletes")
-                removed += 1
+                removed = True
+        if removed:
+            self._count("deletes")
         return removed
-
-    def clear(self) -> int:
-        """Drop every checkpoint directory; returns how many were removed."""
-        keys = self.keys()
-        for key in keys:
-            shutil.rmtree(self.checkpoint_root / key, ignore_errors=True)
-        self._count("deletes", len(keys))
-        return len(keys)
 
 
 # -- pipeline stage codecs ---------------------------------------------------
 #
-# The heavy stages checkpoint their outputs as frames through the same
-# record codecs the study cache writes, so a stage checkpoint and a
-# published cache entry are byte-compatible views of the same records.
+# The heavy stages are staged through the same record codecs the study
+# cache writes, so a staged stage *is* the entry's data file.
 
 
 def encode_stage_arrivals(arrivals) -> "Frame":

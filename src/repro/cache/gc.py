@@ -3,8 +3,8 @@
 A healthy cache directory contains only complete entries.  Everything else
 is garbage this module collects:
 
-* ``<key>.tmp<pid>`` **staging directories** left by writers that died
-  mid-save.  One is garbage when its owning pid is gone, or when it has
+* ``<key>.tmp<pid>`` **staging directories** left by runs that died
+  mid-way.  One is garbage when its owning pid is gone, or when it has
   outlived :data:`STAGING_GRACE_SECONDS` (a live but unrelated process may
   have recycled the pid);
 * **torn entries** — directories with no readable ``meta.json``, i.e. debris
@@ -62,7 +62,8 @@ class GcReport:
         return self.staging_removed + self.entries_removed > 0
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists (on this host)."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -72,6 +73,14 @@ def _pid_alive(pid: int) -> bool:
     except OSError:  # pragma: no cover - e.g. pid out of range
         return False
     return True
+
+
+def staging_owner(path: Path) -> Optional[Tuple[str, int]]:
+    """``(key, pid)`` of a ``<key>.tmp<pid>`` staging path, else None."""
+    match = _STAGING_RE.match(path.name)
+    if match is None:
+        return None
+    return match.group("key"), int(match.group("pid"))
 
 
 def dir_bytes(path: Path) -> int:
@@ -108,12 +117,12 @@ def _is_stale_staging(
     path: Path, *, now: float, grace: float
 ) -> Optional[bool]:
     """True/False for staging dirs, None for anything else."""
-    match = _STAGING_RE.match(path.name)
-    if match is None:
+    owner = staging_owner(path)
+    if owner is None:
         return None
     if now - _mtime(path) > grace:
         return True
-    return not _pid_alive(int(match.group("pid")))
+    return not pid_alive(owner[1])
 
 
 def collect_garbage(

@@ -1,9 +1,9 @@
-"""Cache entry integrity: per-file checksums and verification.
+"""Cache entry integrity: per-file frame digests and verification.
 
 A cache entry is a directory of data files plus a ``meta.json`` completion
 marker.  The marker records, for every data file (a
-:mod:`repro.store.frame`), its byte size and a BLAKE2b digest of its
-on-disk bytes, plus the record count of every stream.
+:mod:`repro.store.frame`), its byte size and its frame header's BLAKE2b
+digest, plus the record count of every stream.
 :func:`verify_entry` checks an entry against its own
 manifest; the cache calls it before trusting a hit, the publish path calls
 it (shallowly) to distinguish a *complete* concurrent entry from stale
@@ -25,9 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
-
-from repro.cache.fingerprint import digest_file
+from typing import List, Optional
 
 #: The data files every complete entry contains (``meta.json`` aside).
 DATA_FILES = ("arrivals.frame", "store.frame", "alerts.frame")
@@ -41,7 +39,7 @@ class EntryReport:
     key: str
     ok: bool
     problems: List[str] = field(default_factory=list)
-    #: Total on-disk bytes of the files named by the manifest (0 if the
+    #: Total on-disk bytes of the data files the manifest names (0 if the
     #: manifest itself is unreadable).
     bytes: int = 0
     meta: Optional[dict] = None
@@ -61,20 +59,19 @@ def read_meta(entry: Path) -> Optional[dict]:
     return meta if isinstance(meta, dict) else None
 
 
-def build_manifest(entry: Path) -> Dict[str, Dict[str, object]]:
-    """Digest + size manifest of a staged entry's data files.
+def read_stage(entry: Path, meta: dict, kind: str):
+    """One entry frame, read with its kind and columns and checked against
+    the digest ``meta.json`` records (``FrameError`` on any mismatch)."""
+    from repro.store.frame import STAGE_DTYPES, read_frame
 
-    Called on the staging directory just before ``meta.json`` is written,
-    so the manifest describes exactly the bytes that get published.
-    """
-    manifest: Dict[str, Dict[str, object]] = {}
-    for name in DATA_FILES:
-        path = entry / name
-        manifest[name] = {
-            "blake2b": digest_file(path),
-            "bytes": path.stat().st_size,
-        }
-    return manifest
+    name = f"{kind}.frame"
+    return read_frame(
+        (entry / name).read_bytes(),
+        schema=meta.get("schema"),
+        kind=kind,
+        dtypes=STAGE_DTYPES[kind],
+        digest=meta["files"][name]["digest"],
+    )
 
 
 def verify_entry(
@@ -82,10 +79,10 @@ def verify_entry(
 ) -> EntryReport:
     """Check one entry directory against its own manifest.
 
-    Shallow (``deep=False``) checks the manifest is readable and every
-    listed file exists at its recorded size — enough to tell a complete
-    entry from a torn one without reading data bytes.  Deep verification
-    additionally recomputes every file's BLAKE2b digest.
+    Shallow (``deep=False``) checks the manifest is readable and every data
+    file exists at its recorded size, with a digest recorded — enough to
+    tell a complete entry from a torn one without reading data bytes.  Deep
+    verification additionally reads every frame against that digest.
     """
     report = EntryReport(path=entry, key=entry.name, ok=False)
     meta = read_meta(entry)
@@ -102,9 +99,13 @@ def verify_entry(
         report.problems.append("meta.json lacks a file manifest")
         return report
     for name in DATA_FILES:
-        if name not in manifest:
+        expected = manifest.get(name)
+        if not isinstance(expected, dict):
             report.problems.append(f"{name}: absent from manifest")
-    for name, expected in sorted(manifest.items()):
+            continue
+        if not isinstance(expected.get("digest"), str):
+            report.problems.append(f"{name}: no frame digest recorded")
+            continue
         path = entry / name
         if not path.is_file():
             report.problems.append(f"{name}: missing")
@@ -116,12 +117,10 @@ def verify_entry(
                 f"{name}: {size} bytes on disk != {expected.get('bytes')} recorded"
             )
             continue
-        if deep and digest_file(path) != expected.get("blake2b"):
-            report.problems.append(f"{name}: checksum mismatch")
+        if deep:
+            try:
+                read_stage(entry, meta, path.stem)
+            except (OSError, ValueError) as exc:
+                report.problems.append(f"{name}: checksum mismatch ({exc})")
     report.ok = not report.problems
     return report
-
-
-def is_complete_entry(entry: Path, *, expect_schema: Optional[int] = None) -> bool:
-    """Shallow completeness check (see :func:`verify_entry`)."""
-    return verify_entry(entry, deep=False, expect_schema=expect_schema).ok

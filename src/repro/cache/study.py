@@ -24,10 +24,11 @@ Durability (the publish/verify/GC protocol):
   inside the staging dir, so a published entry is complete by construction;
 * the data files are :mod:`repro.store.frame` frames — ``arrivals.frame``,
   ``store.frame`` (sessions, collection statistics, ground truth) and
-  ``alerts.frame``, written by the same codecs as the stage checkpoints;
-* ``meta.json`` records a per-file BLAKE2b checksum, byte size, and record
-  count; :meth:`StudyCache.load` verifies them, then each frame's own
-  digest, and evicts on any mismatch;
+  ``alerts.frame``, staged by the run as each stage finishes
+  (:mod:`repro.cache.checkpoint`);
+* ``meta.json`` records each file's byte size and header digest and each
+  stream's record count; :meth:`StudyCache.load` checks the sizes, reads
+  every frame once against its recorded digest, and evicts on any mismatch;
 * when the publishing rename fails because a directory already occupies the
   slot, the occupant is verified: a *complete* entry means a concurrent
   writer won an equivalent race (benign — the staging dir is dropped), while
@@ -65,12 +66,14 @@ from repro.cache.gc import (
     STAGING_GRACE_SECONDS,
     collect_garbage,
     collect_manifest_garbage,
+    dir_bytes,
+    pid_alive,
+    staging_owner,
 )
 from repro.cache.integrity import (
+    DATA_FILES,
     EntryReport,
-    build_manifest,
-    is_complete_entry,
-    read_meta,
+    read_stage,
     verify_entry,
 )
 from repro.net.pcapstore import SessionStore
@@ -110,6 +113,11 @@ def default_cache_root() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro"
+
+
+def staging_dir(entry: Path) -> Path:
+    """This process's ``<key>.tmp<pid>`` staging directory for an entry."""
+    return entry.with_name(f"{entry.name}.tmp{os.getpid()}")
 
 
 def _scenario_token(config) -> Optional[str]:
@@ -182,11 +190,9 @@ class CachedStudy:
 
     def load_arrivals(self) -> List[ScanArrival]:
         """The cached arrival stream (lazy: rarely needed downstream)."""
-        from repro.store.frame import arrivals_from_frame, load_frame
+        from repro.store.frame import arrivals_from_frame
 
-        return arrivals_from_frame(
-            load_frame(self.path / "arrivals.frame", schema=CACHE_SCHEMA)
-        )
+        return arrivals_from_frame(read_stage(self.path, self.meta, "arrivals"))
 
 
 @dataclass
@@ -252,9 +258,6 @@ class StudyCache:
     def entry_path(self, config) -> Path:
         return self.study_root / self.key(config)
 
-    def has(self, config) -> bool:
-        return (self.entry_path(config) / "meta.json").exists()
-
     def _evict_dir(self, path: Path) -> None:
         shutil.rmtree(path, ignore_errors=True)
         self._count("evictions")
@@ -274,40 +277,36 @@ class StudyCache:
         return cached
 
     def _load(self, config) -> Optional[CachedStudy]:
-        from repro.store.frame import alerts_from_frame, load_frame, store_from_frame
+        from repro.cache.checkpoint import decode_stage_alerts, decode_stage_store
 
         path = self.entry_path(config)
         if not path.exists():
             self._count("misses")
             return None
-        report = verify_entry(path, deep=True, expect_schema=CACHE_SCHEMA)
-        if not report.ok:
+        # Sizes and manifest first; then every frame is read once, its
+        # digest re-derived and compared with the one meta.json records.
+        report = verify_entry(path, deep=False, expect_schema=CACHE_SCHEMA)
+        meta = report.meta
+        try:
+            if not report.ok:
+                raise ValueError("; ".join(report.problems))
+            read_stage(path, meta, "arrivals")  # decoded only on demand
+            store, stats, ground_truth = decode_stage_store(
+                read_stage(path, meta, "store")
+            )
+            alerts = decode_stage_alerts(read_stage(path, meta, "alerts"))
+            records = meta.get("records", {})
+            if (
+                len(store) != records.get("sessions")
+                or len(alerts) != records.get("alerts")
+            ):
+                raise ValueError("record counts disagree with meta.json")
+        except (OSError, ValueError):
             # Torn or corrupt: evict rather than leave it blocking the key.
             self._count("integrity_failures")
             self._count("misses")
             self._evict_dir(path)
             return None
-        meta = report.meta
-        try:
-            sessions, stats, ground_truth = store_from_frame(
-                load_frame(path / "store.frame", schema=CACHE_SCHEMA)
-            )
-            alerts = alerts_from_frame(
-                load_frame(path / "alerts.frame", schema=CACHE_SCHEMA)
-            )
-            records = meta.get("records", {})
-            if (
-                len(sessions) != records.get("sessions")
-                or len(alerts) != records.get("alerts")
-            ):
-                raise ValueError("record counts disagree with meta.json")
-        except (OSError, ValueError):
-            self._count("integrity_failures")
-            self._count("misses")
-            self._evict_dir(path)
-            return None
-        store = SessionStore()
-        store.extend(sessions)
         self._count("hits")
         self._count("bytes_read", report.bytes)
         return CachedStudy(
@@ -333,7 +332,7 @@ class StudyCache:
                 os.replace(staging, path)
                 return True
             except OSError:
-                if is_complete_entry(path, expect_schema=CACHE_SCHEMA):
+                if verify_entry(path, deep=False, expect_schema=CACHE_SCHEMA).ok:
                     self._count("publish_conflicts")
                     shutil.rmtree(staging, ignore_errors=True)
                     return False
@@ -356,6 +355,8 @@ class StudyCache:
     ) -> Path:
         """Persist one study's intermediates; returns the entry path.
 
+        Writes only the data files the run's stage checkpoints have not
+        already staged, and leaves them in place if it raises.
         Best-effort by design: after the publish protocol exhausts its
         retries (possible only under pathological contention) the save is
         dropped and counted in ``telemetry.publish_failures`` — a cache
@@ -365,58 +366,53 @@ class StudyCache:
         from repro.store.frame import (
             alerts_frame,
             arrivals_frame,
+            frame_digest,
             store_frame,
             write_frame,
         )
 
+        encoders = {
+            "arrivals.frame": lambda: arrivals_frame(arrivals),
+            "store.frame": lambda: store_frame(
+                list(store), collection_stats, ground_truth
+            ),
+            "alerts.frame": lambda: alerts_frame(alerts),
+        }
         with active_span("cache.save"):
             path = self.entry_path(config)
-            staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            shutil.rmtree(staging, ignore_errors=True)
-            staging.mkdir(parents=True)
-            try:
-                write_frame(
-                    arrivals_frame(arrivals), staging / "arrivals.frame",
-                    schema=CACHE_SCHEMA,
-                )
-                write_frame(
-                    store_frame(list(store), collection_stats, ground_truth),
-                    staging / "store.frame",
-                    schema=CACHE_SCHEMA,
-                )
-                write_frame(
-                    alerts_frame(alerts), staging / "alerts.frame",
-                    schema=CACHE_SCHEMA,
-                )
-                manifest = build_manifest(staging)
-                meta = {
-                    "schema": CACHE_SCHEMA,
-                    "key": path.name,
-                    "code": code_fingerprint(),
-                    "created": time.time(),
-                    "config": {
-                        name: str(value)
-                        for name, value in semantic_config(config).items()
-                    },
-                    "records": {
-                        "arrivals": len(arrivals),
-                        "sessions": len(store),
-                        "alerts": len(alerts),
-                    },
-                    "files": manifest,
-                }
-                # meta.json written last: its presence marks the entry complete.
-                (staging / "meta.json").write_text(
-                    json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-                )
-                if self._publish(staging, path):
-                    self._count(
-                        "bytes_written",
-                        sum(int(entry["bytes"]) for entry in manifest.values()),
-                    )
-            except BaseException:
-                shutil.rmtree(staging, ignore_errors=True)
-                raise
+            staging = staging_dir(path)
+            staging.mkdir(parents=True, exist_ok=True)
+            files = {}
+            for name in DATA_FILES:
+                target = staging / name
+                try:
+                    digest = frame_digest(target)
+                except (OSError, ValueError):  # not staged (or unreadable)
+                    written = write_frame(encoders[name](), target, schema=CACHE_SCHEMA)
+                    self._count("bytes_written", written)
+                    digest = frame_digest(target)
+                files[name] = {"bytes": target.stat().st_size, "digest": digest}
+            meta = {
+                "schema": CACHE_SCHEMA,
+                "key": path.name,
+                "code": code_fingerprint(),
+                "created": time.time(),
+                "config": {
+                    name: str(value)
+                    for name, value in semantic_config(config).items()
+                },
+                "records": {
+                    "arrivals": len(arrivals),
+                    "sessions": len(store),
+                    "alerts": len(alerts),
+                },
+                "files": files,
+            }
+            # meta.json written last: its presence marks the entry complete.
+            (staging / "meta.json").write_text(
+                json.dumps(meta, indent=2) + "\n", encoding="utf-8"
+            )
+            self._publish(staging, path)
             self._count("saves")
             return path
 
@@ -433,7 +429,7 @@ class StudyCache:
         )
 
     def staging_dirs(self) -> List[Path]:
-        """Leftover ``<key>.tmp<pid>`` staging directories."""
+        """``<key>.tmp<pid>`` staging directories: in-flight or killed runs."""
         if not self.study_root.is_dir():
             return []
         return sorted(
@@ -489,39 +485,43 @@ class StudyCache:
         entries = []
         total_bytes = 0
         for path in self.entries():
-            meta = read_meta(path)
             report = verify_entry(path, deep=False, expect_schema=CACHE_SCHEMA)
+            meta = report.meta or {}
             total_bytes += report.bytes
             entries.append(
                 {
                     "key": path.name,
                     "complete": report.ok,
                     "bytes": report.bytes,
-                    "created": (meta or {}).get("created"),
-                    "records": (meta or {}).get("records", {}),
-                    "config": (meta or {}).get("config", {}),
+                    "created": meta.get("created"),
+                    "records": meta.get("records", {}),
+                    "config": meta.get("config", {}),
+                }
+            )
+        staging = []
+        for path in self.staging_dirs():
+            owner = staging_owner(path)
+            staging.append(
+                {
+                    "key": owner[0] if owner else path.name,
+                    "stages": sorted(frame.stem for frame in path.glob("*.frame")),
+                    "bytes": dir_bytes(path),
+                    "owner_alive": bool(owner) and pid_alive(owner[1]),
                 }
             )
         return {
             "root": str(self.root),
             "entries": entries,
             "entry_count": len(entries),
-            "staging_count": len(self.staging_dirs()),
+            "staging": staging,
+            "staging_count": len(staging),
             "total_bytes": total_bytes,
             "telemetry": self.telemetry.as_dict(),
         }
 
-    def evict(self, config) -> bool:
-        """Drop one entry; returns whether it existed."""
-        path = self.entry_path(config)
-        existed = path.exists()
-        if existed:
-            self._evict_dir(path)
-        return existed
-
     def clear(self) -> int:
-        """Drop every study entry (staging dirs included); returns how many
-        were removed."""
+        """Drop every study entry and staged run; returns how many
+        directories were removed."""
         if not self.study_root.exists():
             return 0
         entries = [p for p in self.study_root.iterdir() if p.is_dir()]

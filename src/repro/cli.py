@@ -22,8 +22,7 @@ Subcommands::
                       with scaled synthetic rulesets (10k-rule scale)
     repro seeds       print the encoded Appendix E seed table
     repro baselines   paper baselines vs exactly computed Markov baselines
-    repro cache       study-cache maintenance (stats / verify / gc / clear /
-                      checkpoints)
+    repro cache       study-cache maintenance (stats / verify / gc / clear)
 
 Flags are uniform across subcommands: every study-running or
 manifest-reading subcommand accepts ``--workers``, ``--cache`` /
@@ -37,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from datetime import timedelta
 from pathlib import Path
 from typing import List, Optional
@@ -872,7 +870,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"cache root: {snapshot['root']}")
     print(f"entries: {snapshot['entry_count']} "
           f"({_format_bytes(snapshot['total_bytes'])}); "
-          f"staging dirs: {snapshot['staging_count']}")
+          f"staged runs: {snapshot['staging_count']}")
     if snapshot["entries"]:
         rows = []
         for entry in snapshot["entries"]:
@@ -892,6 +890,10 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
              "scale", "seed"],
             rows,
         ))
+    for run in snapshot["staging"]:
+        print(f"staged run {run['key'][:16]}: {','.join(run['stages']) or '-'} "
+              f"({_format_bytes(run['bytes'])}), owner "
+              f"{'alive' if run['owner_alive'] else 'dead'}")
     return 0
 
 
@@ -957,47 +959,6 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_checkpoints(args: argparse.Namespace) -> int:
-    from datetime import timedelta
-
-    from repro.cache import CheckpointStore
-
-    store = CheckpointStore(root=args.cache_dir)
-    if args.clear:
-        removed = store.clear()
-        print(f"removed {removed} checkpoint "
-              f"{'key' if removed == 1 else 'keys'} "
-              f"from {store.checkpoint_root}")
-        return 0
-    if args.max_age_days is not None:
-        removed = store.gc(max_age=timedelta(days=args.max_age_days))
-        print(f"gc removed {removed} checkpoint "
-              f"{'key' if removed == 1 else 'keys'}")
-    snapshot = store.stats()
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0
-    print(f"checkpoint root: {store.checkpoint_root}")
-    print(f"keys: {snapshot['key_count']} "
-          f"({_format_bytes(snapshot['total_bytes'])})")
-    if snapshot["keys"]:
-        now = time.time()
-        rows = []
-        for info in snapshot["keys"]:
-            age_hours = max(0.0, now - float(info["newest"])) / 3600
-            rows.append([
-                str(info["key"])[:24],
-                info["blobs"],
-                _format_bytes(int(info["bytes"])),
-                f"{age_hours:.1f}h",
-            ])
-        print()
-        print(render_table(
-            ["key", "blobs", "size", "age"], rows
-        ))
-    return 0
-
-
 def _add_cache_commands(subparsers, common: argparse.ArgumentParser) -> None:
     cache_parser = subparsers.add_parser(
         "cache", help="study-cache maintenance"
@@ -1050,23 +1011,9 @@ def _add_cache_commands(subparsers, common: argparse.ArgumentParser) -> None:
     gc_parser.set_defaults(func=_cmd_cache_gc)
 
     clear_parser = cache_subparsers.add_parser(
-        "clear", parents=[common], help="drop every entry"
+        "clear", parents=[common], help="drop every entry and staged run"
     )
     clear_parser.set_defaults(func=_cmd_cache_clear)
-
-    checkpoints_parser = cache_subparsers.add_parser(
-        "checkpoints", parents=[common],
-        help="list, gc, or clear crash-recovery checkpoints",
-    )
-    checkpoints_parser.add_argument(
-        "--max-age-days", type=float, default=None, metavar="DAYS",
-        help="gc checkpoint keys whose newest blob is older than DAYS",
-    )
-    checkpoints_parser.add_argument(
-        "--clear", action="store_true",
-        help="drop every checkpoint key",
-    )
-    checkpoints_parser.set_defaults(func=_cmd_cache_checkpoints)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,8 @@
 """The binary column frame: the one layout the program keeps at rest.
 
-Every file a study leaves on disk — the study cache's entries, the crash
-checkpoints (one per pipeline stage) and the serve shards — is one
-frame::
+Every file a study leaves on disk — the study cache's entries (whose
+stage frames double as crash checkpoints while the entry is staged) and
+the serve shards — is one frame::
 
     magic   8 bytes   b"REPROFR1"
     hlen    8 bytes   little-endian uint64: byte length of the header JSON
@@ -14,8 +14,8 @@ The header is a JSON object with exactly these keys:
 * ``kind`` — what the frame holds (``"store"``, ``"arrivals"``,
   ``"alerts"``, ``"shard"``);
 * ``schema`` — the owning store's layout version (``CACHE_SCHEMA``,
-  ``CHECKPOINT_SCHEMA``, ``SHARD_SCHEMA``); a reader names the schema it
-  expects and rejects any other;
+  ``SHARD_SCHEMA``); a reader names the schema it expects and rejects any
+  other;
 * ``meta`` — scalars (collection counters, a shard's identity);
 * ``strings`` — interned string tables, referenced from ``int32`` columns
   by index (``-1`` = ``None``);
@@ -273,13 +273,15 @@ def read_frame(
     schema: int,
     kind: Optional[str] = None,
     dtypes: Optional[Mapping[str, str]] = None,
+    digest: Optional[str] = None,
 ) -> Frame:
     """Validate ``buffer`` as a frame and wrap its columns zero-copy.
 
     ``buffer`` is anything exposing the buffer protocol — the ``bytes`` of
     a plain file read, or a long-lived ``mmap`` (shards).  The returned
-    columns are read-only views over it.  ``kind`` and ``dtypes`` (column
-    name -> dtype, every one required) are checked when given.  Raises
+    columns are read-only views over it.  ``kind``, ``dtypes`` (column
+    name -> dtype, every one required) and ``digest`` (as recorded in a
+    cache entry's ``meta.json``) are checked when given.  Raises
     :class:`FrameError` for anything that is not a complete, intact frame
     of ``schema``; no view is created before every check has passed.
     """
@@ -298,6 +300,8 @@ def read_frame(
                     f"expected {dtype!r}"
                 )
     expected = header.pop("digest")
+    if digest is not None and expected != digest:
+        raise FrameError("digest differs from the recorded one")
     with memoryview(buffer) as view, view[header_end:] as data:
         actual = _digest(_render(header), data)
     if actual != expected:
@@ -314,10 +318,16 @@ def read_frame(
     )
 
 
-def load_frame(path: Union[str, Path], **expect: Any) -> Frame:
-    """Read a whole frame file into memory and validate it (see
-    :func:`read_frame` for ``expect``)."""
-    return read_frame(Path(path).read_bytes(), **expect)
+def frame_digest(path: Union[str, Path]) -> str:
+    """The digest a frame file's header records; only the header is read
+    (the data bytes are checked when the frame itself is read)."""
+    with open(path, "rb") as handle:
+        prefix = handle.read(_PREFIX)
+        if len(prefix) < _PREFIX or prefix[: len(MAGIC)] != MAGIC:
+            raise FrameError("not a frame (bad magic)")
+        hlen = int.from_bytes(prefix[len(MAGIC):], "little")
+        header, _ = _parse_header(prefix + handle.read(hlen))
+    return header["digest"]
 
 
 # -- column primitives -------------------------------------------------------
@@ -437,6 +447,12 @@ ALERT_DTYPES: Dict[str, str] = {
     "alert_dst_ip": "int64",
     "alert_dst_port": "int32",
     "alert_src_ip": "int64",
+}
+#: The pipeline's stage frames: kind -> required column dtypes.
+STAGE_DTYPES: Dict[str, Dict[str, str]] = {
+    "arrivals": ARRIVAL_DTYPES,
+    "store": STORE_DTYPES,
+    "alerts": ALERT_DTYPES,
 }
 #: Scalar collection counters carried in a store frame's ``meta``.
 STATS_COUNTERS = (

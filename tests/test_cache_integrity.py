@@ -242,6 +242,28 @@ class TestIntegrityVerification:
         assert loaded.load_arrivals()[0].payload == b"probe"
 
 
+class TestRecordedDigest:
+    def test_intact_frame_with_another_digest_is_evicted(self, tmp_path):
+        """An intact frame that is not the one meta.json recorded (same
+        size, its own digest valid) fails deep verification and loads."""
+        from repro.store.frame import alerts_frame, write_frame
+
+        cache = StudyCache(root=tmp_path)
+        config = _config()
+        _save(cache, config)
+        target = cache.entry_path(config) / "alerts.frame"
+        size = target.stat().st_size
+        (alert,) = _tiny_payload()[2]
+        other = dataclasses.replace(alert, sid=alert.sid + 1)
+        write_frame(alerts_frame([other]), target, schema=CACHE_SCHEMA)
+        assert target.stat().st_size == size
+
+        (report,) = cache.verify(deep=True)
+        assert any("digest differs" in p for p in report.problems)
+        assert cache.load(config) is None
+        assert not cache.entry_path(config).exists()
+
+
 def _racing_saver(root: str, attempts: int) -> None:
     cache = StudyCache(root=root)
     config = _config()

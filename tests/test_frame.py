@@ -34,7 +34,6 @@ from repro.cache.checkpoint import (
     encode_stage_arrivals,
     encode_stage_store,
 )
-from repro.cache.integrity import build_manifest
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
 from repro.nids.ruleset import Alert
@@ -168,7 +167,7 @@ class TestMalformedHeaders:
         _forge(target, _without("meta"))
         # Re-sync the manifest so only the frame reader can catch it.
         meta = json.loads((entry / "meta.json").read_text())
-        meta["files"] = build_manifest(entry)
+        meta["files"]["alerts.frame"]["digest"] = _header(target)["digest"]
         (entry / "meta.json").write_text(json.dumps(meta))
         assert cache.load(_tiny_config()) is None
         assert not entry.exists()
