@@ -22,7 +22,13 @@ import json
 import os
 import time
 
-from repro.store import ColumnarStudy, ShardStore, StudyServer, StudyService
+from repro.store import (
+    ColumnarStudy,
+    StudyServer,
+    StudyService,
+    load_shard,
+    write_shard,
+)
 
 REQUESTS_PER_LEVEL = int(os.environ.get("REPRO_BENCH_SERVE_REQUESTS", "300"))
 CONCURRENCY_LEVELS = (1, 16, 64)
@@ -96,10 +102,9 @@ def _stats(latencies, elapsed):
     }
 
 
-async def _bench_level(store, etag, concurrency):
+async def _bench_level(shard_path, concurrency):
     """Cold and warm passes at one concurrency, each on a fresh mmap."""
-    study = store.load(etag)
-    assert study is not None
+    study = load_shard(shard_path)
     server = StudyServer(StudyService(study))
     host, port = await server.start()
     try:
@@ -120,11 +125,10 @@ async def _bench_level(store, etag, concurrency):
 
 def test_serve_latency_throughput(study_full, results_dir, tmp_path):
     packed = ColumnarStudy.from_study(study_full)
-    store = ShardStore(tmp_path)
-    shard_path = store.save(packed)
+    shard_path = write_shard(packed, tmp_path / "shard.frame")
 
     levels = [
-        asyncio.run(_bench_level(store, packed.etag, concurrency))
+        asyncio.run(_bench_level(shard_path, concurrency))
         for concurrency in CONCURRENCY_LEVELS
     ]
 

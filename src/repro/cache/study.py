@@ -29,6 +29,9 @@ Durability (the publish/verify/GC protocol):
 * ``meta.json`` records each file's byte size and header digest and each
   stream's record count; :meth:`StudyCache.load` checks the sizes, reads
   every frame once against its recorded digest, and evicts on any mismatch;
+* a published entry may also hold the study's serve shard
+  (``shard.frame``, :mod:`repro.store.shard`); it is not in the manifest,
+  and every eviction, ``gc`` and ``clear`` removes it with its entry;
 * when the publishing rename fails because a directory already occupies the
   slot, the occupant is verified: a *complete* entry means a concurrent
   writer won an equivalent race (benign — the staging dir is dropped), while
@@ -238,15 +241,6 @@ class StudyCache:
         from repro.obs import get_registry
 
         get_registry().inc(f"cache.{name}", amount)
-
-    # Backwards-compatible aliases for the original counters.
-    @property
-    def hits(self) -> int:
-        return self.telemetry.hits
-
-    @property
-    def misses(self) -> int:
-        return self.telemetry.misses
 
     @property
     def study_root(self) -> Path:
@@ -487,12 +481,13 @@ class StudyCache:
         for path in self.entries():
             report = verify_entry(path, deep=False, expect_schema=CACHE_SCHEMA)
             meta = report.meta or {}
-            total_bytes += report.bytes
+            size = dir_bytes(path)  # the data frames, meta.json and shard
+            total_bytes += size
             entries.append(
                 {
                     "key": path.name,
                     "complete": report.ok,
-                    "bytes": report.bytes,
+                    "bytes": size,
                     "created": meta.get("created"),
                     "records": meta.get("records", {}),
                     "config": meta.get("config", {}),

@@ -278,7 +278,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     study, built = _serve_study(args)
     service = StudyService(study)
     if built:
-        print(f"shard built and published (etag {service.etag})",
+        print(f"shard built (etag {service.etag})",
               file=sys.stderr)
     server = StudyServer(service, host=args.host, port=args.port)
 

@@ -180,14 +180,13 @@ def kev_cvss_scores(entries: List[KevEntry], *, seed: int) -> Dict[str, float]:
     edges = [edge for edge, _ in _KEV_CVSS_BUCKETS]
     weights = [weight for _, weight in _KEV_CVSS_BUCKETS]
     total_weight = sum(weights)
+    probabilities = [w / total_weight for w in weights]
     scores: Dict[str, float] = {}
     for entry in entries:
         if entry.cve_id in studied_impact:
             scores[entry.cve_id] = studied_impact[entry.cve_id]
             continue
-        bucket = int(
-            rng.choice(len(edges), p=[w / total_weight for w in weights])
-        )
+        bucket = int(rng.choice(len(edges), p=probabilities))
         low = edges[bucket]
         high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
         scores[entry.cve_id] = round(min(float(rng.uniform(low, high)), 10.0), 1)

@@ -13,7 +13,6 @@ from repro.net.session import SessionDirection, TcpSession
 from repro.net.http import HttpRequest, parse_http_request
 from repro.net.flow import FlowAssembler
 from repro.net.pcapstore import SessionStore
-from repro.net.binformat import iter_binary, load_binary, save_binary
 
 __all__ = [
     "Packet",
@@ -26,7 +25,4 @@ __all__ = [
     "parse_http_request",
     "FlowAssembler",
     "SessionStore",
-    "iter_binary",
-    "load_binary",
-    "save_binary",
 ]

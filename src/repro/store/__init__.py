@@ -7,9 +7,10 @@ mirror of a finished study:
   (:class:`ColumnarStudy`): int64 µs timestamps, interned string tables,
   parallel column groups in the pipeline's canonical orders;
 * :mod:`repro.store.frame` — the binary column frame, the one layout at
-  rest: study cache entries, crash checkpoints and shards are all frames;
-* :mod:`repro.store.shard` — a study as one frame plus
-  :class:`ShardStore`, content-keyed under ``<cache root>/shards/`` and
+  rest: a study cache entry's data files (staged as crash checkpoints)
+  and its shard are all frames;
+* :mod:`repro.store.shard` — a study as one frame, kept as
+  ``shard.frame`` in its published cache entry (:class:`ShardStore`) and
   loaded zero-copy via ``mmap`` + ``np.frombuffer``;
 * :mod:`repro.store.kernels` — vectorized aggregations value-identical to
   the ``derive_analysis`` dataclass path;
@@ -34,12 +35,7 @@ from repro.store.kernels import (
 )
 from repro.store.server import StudyServer, serve
 from repro.store.service import QUERY_NAMES, QueryError, StudyService
-from repro.store.shard import (
-    SHARD_SCHEMA,
-    ShardStore,
-    load_shard,
-    write_shard,
-)
+from repro.store.shard import ShardStore, load_shard, write_shard
 
 
 def shard_for_config(
@@ -50,13 +46,14 @@ def shard_for_config(
 ) -> Tuple[Optional[ColumnarStudy], bool]:
     """The shard for a study config: load it, or build and publish it.
 
-    Returns ``(study, built)``.  A shard already on disk (keyed by the
-    config+code fingerprint) is mmapped and returned **without re-running
-    the study** — the warm path a serving process relies on.  Otherwise
-    the study runs (through the study cache, so its own hit short-circuits
-    the heavy stages), is packed, and the shard published for next time.
-    ``build=False`` probes without running anything (``(None, False)`` on
-    a miss).
+    Returns ``(study, built)``.  A shard already in the study's published
+    cache entry is mmapped and returned **without re-running the study**
+    — the warm path a serving process relies on.  Otherwise the study
+    runs (through the study cache, so its own hit short-circuits the heavy
+    stages), is packed, and the shard written into the entry for next
+    time; when there is no entry to write into (the cache could not
+    publish one), the in-memory pack is served.  ``build=False`` probes
+    without running anything (``(None, False)`` on a miss).
     """
     from repro.analysis.pipeline import StudyConfig, run_study
     from repro.cache import study_key
@@ -74,7 +71,7 @@ def shard_for_config(
     path = store.save(packed)
     # Serve from the mmapped bytes rather than the in-memory pack, so the
     # first server process exercises the same plane as every later one.
-    return load_shard(path), True
+    return (packed if path is None else load_shard(path)), True
 
 
 __all__ = [
@@ -82,7 +79,6 @@ __all__ = [
     "QUERY_NAMES",
     "ColumnarStudy",
     "QueryError",
-    "SHARD_SCHEMA",
     "ShardStore",
     "StudyServer",
     "StudyService",

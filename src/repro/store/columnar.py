@@ -20,27 +20,24 @@ columns it can mask and reduce without touching a Python object per CVE.
   answers (delta series, overlap listings) reproduce the dataclass answers
   element for element.
 
-Packing consumes a :class:`repro.analysis.pipeline.StudyResult` (batch) or
-a :class:`repro.analysis.streaming.StudySnapshot` plus its bundle
-(incremental); :mod:`repro.store.shard` persists the result as a binary
-shard and reloads it zero-copy; :mod:`repro.store.kernels` answers queries
-from the columns.
+Packing consumes a finished :class:`repro.analysis.pipeline.StudyResult`;
+:mod:`repro.store.shard` persists the result as a frame in the study's
+cache entry and reloads it zero-copy; :mod:`repro.store.kernels` answers
+queries from the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.lifecycle.events import CveTimeline, LifecycleEvent
+from repro.lifecycle.events import LifecycleEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.pipeline import StudyResult
-    from repro.analysis.streaming import StudySnapshot
-    from repro.datasets.loader import DatasetBundle
 
 #: Sentinel for "timestamp unknown" in int64 microsecond columns.
 MISSING = np.int64(np.iinfo(np.int64).min)
@@ -182,13 +179,6 @@ class ColumnarStudy:
             raise KeyError(f"unknown lifecycle event {letter!r}")
         return self.columns[f"timeline_t_{letter}"]
 
-    def cve_index(self, cve_id: str) -> int:
-        """Index of a CVE in the interned table (KeyError when absent)."""
-        try:
-            return self.cves.index(cve_id)
-        except ValueError:
-            raise KeyError(cve_id) from None
-
     # -- packing -----------------------------------------------------------
 
     @classmethod
@@ -196,79 +186,12 @@ class ColumnarStudy:
         """Pack a batch :class:`StudyResult` (ETag = its study cache key)."""
         from repro.cache import code_fingerprint, semantic_config
         from repro.cache import study_key as compute_study_key
-
-        return cls._pack(
-            etag=compute_study_key(result.config),
-            code=code_fingerprint(),
-            config={
-                name: str(value)
-                for name, value in semantic_config(result.config).items()
-            },
-            timelines=result.timelines,
-            alerts=result.alerts,
-            kept_events=result.kept_events,
-            rca_decisions=result.rca_decisions,
-            bundle=result.bundle,
-            sessions=len(result.store),
-            events_total=len(result.events),
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: "StudySnapshot",
-        bundle: "DatasetBundle",
-        config,
-        *,
-        window_index: Optional[int] = None,
-    ) -> "ColumnarStudy":
-        """Pack an incremental :class:`StudySnapshot` mid-stream.
-
-        The ETag is the study key suffixed with the window index (a rolling
-        snapshot is a different immutable resource per window); after the
-        final window the columns equal :meth:`from_study` of the batch run.
-        """
-        from repro.cache import code_fingerprint, semantic_config
-        from repro.cache import study_key as compute_study_key
-
-        key = compute_study_key(config)
-        etag = key if window_index is None else f"{key}-w{window_index:05d}"
-        kept: List = []
-        for group in snapshot.events_per_cve.values():
-            kept.extend(group)
-        kept.sort(key=lambda event: event.timestamp)
-        return cls._pack(
-            etag=etag,
-            code=code_fingerprint(),
-            config={
-                name: str(value)
-                for name, value in semantic_config(config).items()
-            },
-            timelines=snapshot.timelines,
-            alerts=snapshot.alerts,
-            kept_events=kept,
-            rca_decisions=snapshot.rca_decisions,
-            bundle=bundle,
-            sessions=snapshot.sessions_seen,
-            events_total=len(snapshot.events),
-        )
-
-    @classmethod
-    def _pack(
-        cls,
-        *,
-        etag: str,
-        code: str,
-        config: Dict[str, str],
-        timelines: Mapping[str, CveTimeline],
-        alerts: Sequence,
-        kept_events: Sequence,
-        rca_decisions: Sequence,
-        bundle: "DatasetBundle",
-        sessions: int,
-        events_total: int,
-    ) -> "ColumnarStudy":
         from repro.datasets.catalog import profile_for
+
+        alerts = result.alerts
+        kept_events = result.kept_events
+        rca_decisions = result.rca_decisions
+        bundle = result.bundle
 
         cves = _Interner()
         categories = _Interner()
@@ -276,7 +199,7 @@ class ColumnarStudy:
 
         # Timelines, in the dict's iteration order (the order every
         # dataclass-path aggregation sees them in).
-        timeline_list = list(timelines.values())
+        timeline_list = list(result.timelines.values())
         n = len(timeline_list)
         timeline_cve = np.empty(n, dtype=np.int32)
         timeline_category = np.full(n, -1, dtype=np.int16)
@@ -381,13 +304,16 @@ class ColumnarStudy:
                 raise TypeError(f"{name}: {array.dtype} != {expected}")
 
         meta: Dict[str, object] = {
-            "etag": etag,
-            "code": code,
-            "config": config,
+            "etag": compute_study_key(result.config),
+            "code": code_fingerprint(),
+            "config": {
+                name: str(value)
+                for name, value in semantic_config(result.config).items()
+            },
             "counts": {
-                "sessions": int(sessions),
+                "sessions": len(result.store),
                 "alerts": len(alerts),
-                "events": int(events_total),
+                "events": len(result.events),
                 "kept_events": len(kept_events),
                 "kept_cves": sum(
                     1 for decision in rca_decisions if decision.kept

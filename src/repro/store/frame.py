@@ -1,8 +1,8 @@
 """The binary column frame: the one layout the program keeps at rest.
 
-Every file a study leaves on disk — the study cache's entries (whose
-stage frames double as crash checkpoints while the entry is staged) and
-the serve shards — is one frame::
+Every data file a study leaves on disk is one frame: the study cache
+entry's stage frames (crash checkpoints while the entry is staged) and,
+once the entry is published, its serve shard::
 
     magic   8 bytes   b"REPROFR1"
     hlen    8 bytes   little-endian uint64: byte length of the header JSON
@@ -13,9 +13,8 @@ The header is a JSON object with exactly these keys:
 
 * ``kind`` — what the frame holds (``"store"``, ``"arrivals"``,
   ``"alerts"``, ``"shard"``);
-* ``schema`` — the owning store's layout version (``CACHE_SCHEMA``,
-  ``SHARD_SCHEMA``); a reader names the schema it expects and rejects any
-  other;
+* ``schema`` — the study cache's layout version (``CACHE_SCHEMA``); a
+  reader names the schema it expects and rejects any other;
 * ``meta`` — scalars (collection counters, a shard's identity);
 * ``strings`` — interned string tables, referenced from ``int32`` columns
   by index (``-1`` = ``None``);

@@ -27,7 +27,6 @@ not just approximation:
 from __future__ import annotations
 
 import statistics
-from datetime import datetime
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.core.desiderata import DESIDERATA
 from repro.core.skill import SkillReport, _resolve_baselines
 from repro.datasets.catalog import VENDOR_CATEGORY_KINDS
 from repro.lifecycle.events import LifecycleEvent
-from repro.store.columnar import MISSING, ColumnarStudy, from_micros
+from repro.store.columnar import MISSING, ColumnarStudy
 from repro.util.stats import Ecdf
 
 _US_PER_SECOND = 1e6
@@ -203,14 +202,6 @@ def first_attack_micros(study: ColumnarStudy) -> Dict[int, int]:
     return {
         int(index): int(earliest[index])
         for index in np.unique(cve_col)
-    }
-
-
-def first_attacks(study: ColumnarStudy) -> Dict[str, datetime]:
-    """:func:`first_attack_micros` with CVE ids and datetimes."""
-    return {
-        study.cves[index]: from_micros(stamp)  # type: ignore[misc]
-        for index, stamp in first_attack_micros(study).items()
     }
 
 

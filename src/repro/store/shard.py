@@ -1,43 +1,48 @@
-"""Binary shard persistence for :class:`ColumnarStudy`.
+"""A study's serve shard: one frame inside its study cache entry.
 
-A ``.shard`` file is one :mod:`repro.store.frame` of kind ``"shard"``: the
-study's identity in the header ``meta``, its CVE and category tables as
-the header's string tables, and one column per :data:`COLUMN_DTYPES`
-entry.  :func:`load_shard` maps the file once and wraps every column as a
-read-only ``np.frombuffer`` view over the ``mmap`` — no column bytes are
-copied (the frame digest is checked once at open, which reads each page
-once); the :class:`ColumnarStudy` keeps the mmap alive for as long as any
-view might be.
+A shard is one :mod:`repro.store.frame` of kind ``"shard"``, written under
+the study cache's ``CACHE_SCHEMA``: the study's identity in the header
+``meta``, its CVE and category tables as the header's string tables, and
+one column per :data:`COLUMN_DTYPES` entry.  :func:`load_shard` maps the
+file once and wraps every column as a read-only ``np.frombuffer`` view
+over the ``mmap`` — no column bytes are copied (the frame digest is
+checked once at open, which reads each page once); the
+:class:`ColumnarStudy` keeps the mmap alive for as long as any view might
+be.
 
-Shards are content-keyed: :class:`ShardStore` files them under
-``<cache root>/shards/<etag>.shard`` where the etag *is* the study cache
-fingerprint (config + code digest), published atomically via the same
-``.tmp<pid>`` + ``os.replace`` discipline as the study cache — a shard is
-immutable once published, which is what lets the serving layer hand out
-``Cache-Control: immutable`` responses keyed by the same fingerprint.
+At rest a shard lives in the published cache entry it was packed from, as
+``<cache root>/study/<key>/shard.frame``; the key is the study cache key,
+which is also the shard's etag.  :class:`ShardStore` writes it only into
+an entry whose ``meta.json`` exists, with :func:`write_frame`'s
+``.tmp<pid>`` + ``os.replace``, so a shard never creates or outlives its
+entry: ``repro cache stats``, ``verify --evict``, ``gc`` and ``clear``
+cover it with the entry.  A published shard is immutable, which is what
+lets the serving layer hand out ``Cache-Control: immutable`` responses
+keyed by the same fingerprint.
 """
 
 from __future__ import annotations
 
 import mmap
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.store.columnar import COLUMN_DTYPES, ColumnarStudy
 from repro.store.frame import Frame, read_frame, write_frame
 
-#: Bump when the shard layout changes (column additions are covered by the
-#: header's explicit descriptors; this is for structural breaks).  2: the
-#: shard is a digest-carrying :mod:`repro.store.frame`.
-SHARD_SCHEMA = 2
+#: The shard's file name inside its study cache entry.
+SHARD_FILE = "shard.frame"
 
 
 def write_shard(study: ColumnarStudy, path: Union[str, Path]) -> Path:
-    """Serialise a packed study to ``path`` atomically; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Serialise a packed study to ``path`` atomically; returns the path.
+
+    The directory must exist: a shard never creates its own.
+    """
+    from repro.cache.study import CACHE_SCHEMA
+
     for name, array in study.columns.items():
         if array.dtype != np.dtype(COLUMN_DTYPES[name]):
             raise TypeError(
@@ -50,8 +55,8 @@ def write_shard(study: ColumnarStudy, path: Union[str, Path]) -> Path:
         meta=study.meta,
         strings={"cves": study.cves, "categories": study.categories},
     )
-    write_frame(frame, path, schema=SHARD_SCHEMA)
-    return path
+    write_frame(frame, path, schema=CACHE_SCHEMA)
+    return Path(path)
 
 
 def load_shard(path: Union[str, Path]) -> ColumnarStudy:
@@ -62,10 +67,12 @@ def load_shard(path: Union[str, Path]) -> ColumnarStudy:
     :class:`repro.store.frame.FrameError`) for anything that is not a
     complete, intact shard of the current schema.
     """
+    from repro.cache.study import CACHE_SCHEMA
+
     with open(path, "rb") as handle:
         mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        frame = read_frame(mm, schema=SHARD_SCHEMA, kind="shard", dtypes=COLUMN_DTYPES)
+        frame = read_frame(mm, schema=CACHE_SCHEMA, kind="shard", dtypes=COLUMN_DTYPES)
         cves = frame.strings.get("cves")
         categories = frame.strings.get("categories")
         if cves is None or categories is None:
@@ -84,36 +91,30 @@ def load_shard(path: Union[str, Path]) -> ColumnarStudy:
 
 
 class ShardStore:
-    """Content-keyed shard files under ``<cache root>/shards/``.
-
-    The key is the study cache fingerprint (the shard's etag); the study
-    cache, checkpoint store, manifests, and shards thereby share one root
-    and one invalidation story — editing pipeline code changes the
-    fingerprint, which orphans old shards rather than corrupting them.
-    """
+    """The shards of the published study cache entries under one root."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        from repro.cache import default_cache_root
+        from repro.cache import StudyCache
 
-        self.root = Path(root).expanduser() if root else default_cache_root()
+        cache = StudyCache(root)
+        self.root, self.study_root = cache.root, cache.study_root
 
-    @property
-    def shard_root(self) -> Path:
-        return self.root / "shards"
-
-    def path_for(self, etag: str) -> Path:
-        return self.shard_root / f"{etag}.shard"
-
-    def has(self, etag: str) -> bool:
-        return self.path_for(etag).exists()
-
-    def save(self, study: ColumnarStudy) -> Path:
-        return write_shard(study, self.path_for(study.etag))
+    def save(self, study: ColumnarStudy) -> Optional[Path]:
+        """Write the shard into its published entry; None when there is no
+        entry to write into (or it went away while writing)."""
+        entry = self.study_root / study.etag
+        if not (entry / "meta.json").is_file():
+            return None
+        try:
+            return write_shard(study, entry / SHARD_FILE)
+        except OSError:
+            return None
 
     def load(self, etag: str) -> Optional[ColumnarStudy]:
-        """The shard for a fingerprint, or None (corrupt shards evicted)."""
-        path = self.path_for(etag)
-        if not path.exists():
+        """The shard of a published entry, or None (corrupt shards evicted)."""
+        entry = self.study_root / etag
+        path = entry / SHARD_FILE
+        if not (entry / "meta.json").is_file() or not path.is_file():
             return None
         try:
             return load_shard(path)
@@ -123,8 +124,3 @@ class ShardStore:
             except OSError:
                 pass
             return None
-
-    def entries(self) -> List[Path]:
-        if not self.shard_root.is_dir():
-            return []
-        return sorted(self.shard_root.glob("*.shard"))

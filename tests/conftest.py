@@ -27,3 +27,21 @@ def study() -> StudyResult:
 @pytest.fixture(scope="session")
 def bundle(study: StudyResult):
     return study.bundle
+
+
+@pytest.fixture
+def shard_store(study: StudyResult, tmp_path):
+    """A :class:`repro.store.ShardStore` whose root holds the study's
+    published cache entry (arrivals left out), so its shard can be saved."""
+    from repro.cache import StudyCache
+    from repro.store import ShardStore
+
+    StudyCache(root=tmp_path).save(
+        study.config,
+        arrivals=[],
+        store=study.store,
+        alerts=study.alerts,
+        collection_stats=study.collection_stats,
+        ground_truth=study.ground_truth,
+    )
+    return ShardStore(root=tmp_path)

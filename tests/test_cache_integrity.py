@@ -394,8 +394,6 @@ class TestTelemetry:
         assert telemetry.saves == 1
         assert telemetry.bytes_written > 0
         assert telemetry.bytes_read == telemetry.bytes_written
-        # Legacy aliases stay live.
-        assert cache.hits == 1 and cache.misses == 1
 
     def test_stats_snapshot(self, tmp_path):
         cache = StudyCache(root=tmp_path)

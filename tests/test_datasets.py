@@ -284,6 +284,32 @@ class TestKev:
         assert set(scores) == {e.cve_id for e in entries}
         assert scores["CVE-2021-44228"] == 10.0
 
+    def test_cvss_scores_equal_per_entry_probability_oracle(self):
+        """Hoisting the bucket probabilities out of the loop leaves every
+        RNG call, and so every score, as it was."""
+        from repro.datasets.kev import _KEV_CVSS_BUCKETS
+        from repro.util.rng import derive_rng
+
+        entries = build_kev(seed=3)
+        studied_impact = {row.cve_id: row.impact for row in SEED_CVES}
+        rng = derive_rng(3, "kev", "cvss")
+        edges = [edge for edge, _ in _KEV_CVSS_BUCKETS]
+        weights = [weight for _, weight in _KEV_CVSS_BUCKETS]
+        expected = {}
+        for entry in entries:
+            if entry.cve_id in studied_impact:
+                expected[entry.cve_id] = studied_impact[entry.cve_id]
+                continue
+            bucket = int(
+                rng.choice(len(edges), p=[w / sum(weights) for w in weights])
+            )
+            low = edges[bucket]
+            high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
+            expected[entry.cve_id] = round(
+                min(float(rng.uniform(low, high)), 10.0), 1
+            )
+        assert kev_cvss_scores(entries, seed=3) == expected
+
     def test_published_recorded(self):
         for entry in build_kev(seed=1):
             assert entry.published is not None

@@ -37,7 +37,7 @@ from repro.cache.checkpoint import (
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
 from repro.nids.ruleset import Alert
-from repro.store import ColumnarStudy, ShardStore, load_shard, write_shard
+from repro.store import ColumnarStudy, load_shard, write_shard
 from repro.telescope.collector import CollectionStats
 from repro.traffic.arrivals import ScanArrival
 
@@ -100,23 +100,23 @@ class TestMalformedHeaders:
     columns before the reader validated headers."""
 
     @pytest.mark.parametrize("key", ["columns", "meta"])
-    def test_missing_header_key_is_evicted(self, packed, tmp_path, key):
-        store = ShardStore(root=tmp_path)
-        path = store.save(packed)
+    def test_missing_header_key_is_evicted(self, packed, shard_store, key):
+        path = shard_store.save(packed)
         _forge(path, _without(key))
         with pytest.raises(ValueError, match=f"lacks.*{key}"):
             load_shard(path)
-        assert store.load(packed.etag) is None
+        assert shard_store.load(packed.etag) is None
         assert not path.exists()
+        assert (path.parent / "meta.json").is_file()
 
-    def test_non_object_header_is_evicted(self, packed, tmp_path):
-        store = ShardStore(root=tmp_path)
-        path = store.save(packed)
+    def test_non_object_header_is_evicted(self, packed, shard_store):
+        path = shard_store.save(packed)
         _forge(path, lambda header: [])
         with pytest.raises(ValueError, match="not an object"):
             load_shard(path)
-        assert store.load(packed.etag) is None
+        assert shard_store.load(packed.etag) is None
         assert not path.exists()
+        assert (path.parent / "meta.json").is_file()
 
     def test_negative_count_rejected(self, packed, tmp_path):
         path = write_shard(packed, tmp_path / "s.shard")
@@ -154,11 +154,12 @@ class TestMalformedHeaders:
         )
         study, built = shard_for_config(config, cache_root=tmp_path)
         assert built
-        path = ShardStore(root=tmp_path).path_for(study.etag)
+        path = tmp_path / "study" / study.etag / "shard.frame"
         del study
         _forge(path, _without("columns"))
         again, rebuilt = shard_for_config(config, cache_root=tmp_path)
         assert rebuilt and again.n_alerts > 0
+        assert load_shard(path).etag == again.etag
 
     def test_cache_entry_with_forged_header_is_evicted(self, tmp_path):
         cache = StudyCache(root=tmp_path)

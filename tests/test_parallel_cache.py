@@ -222,7 +222,7 @@ class TestStudyCache:
         assert second.collection_stats == first.collection_stats
         assert second.ground_truth == first.ground_truth
         assert sorted(second.timelines) == sorted(first.timelines)
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.telemetry.hits == 1 and cache.telemetry.misses == 1
 
     def test_changed_config_misses(self, tmp_path):
         cache = StudyCache(root=tmp_path)
@@ -232,7 +232,7 @@ class TestStudyCache:
             dataclasses.replace(config, seed=config.seed + 1), cache=cache
         )
         assert not changed.from_cache
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.telemetry.hits == 0 and cache.telemetry.misses == 2
 
     def test_key_ignores_execution_knobs(self):
         config = _tiny_study_config()

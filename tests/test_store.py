@@ -11,7 +11,9 @@ round-trip through ``mmap``.
 from __future__ import annotations
 
 import itertools
+import shutil
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.kev_compare import compare_with_kev
 from repro.analysis.vendors import category_summaries
+from repro.cache import StudyCache
+from repro.cli import main
 from repro.core.skill import compute_skill, mean_skill, skill_table
 from repro.core.windows import (
     delta_series,
@@ -37,6 +41,7 @@ from repro.store import (
     from_micros,
     kernels,
     load_shard,
+    shard_for_config,
     to_micros,
     write_shard,
 )
@@ -162,17 +167,24 @@ class TestShardRoundTrip:
         assert not column.flags.owndata
         assert mapped._backing is not None
 
-    def test_store_round_trip_and_eviction(self, packed, tmp_path):
-        store = ShardStore(root=tmp_path)
-        path = store.save(packed)
-        assert store.has(packed.etag)
-        loaded = store.load(packed.etag)
+    def test_store_round_trip_and_eviction(self, packed, shard_store):
+        path = shard_store.save(packed)
+        assert path == shard_store.root / "study" / packed.etag / "shard.frame"
+        loaded = shard_store.load(packed.etag)
         assert loaded is not None and loaded.etag == packed.etag
-        assert store.load("no-such-etag") is None
-        # A corrupt shard is evicted, not served.
+        assert shard_store.load("no-such-etag") is None
+        del loaded
+        # A corrupt shard is evicted, not served; its entry stays.
         path.write_bytes(b"garbage" * 10)
-        assert store.load(packed.etag) is None
+        assert shard_store.load(packed.etag) is None
         assert not path.exists()
+        assert (path.parent / "meta.json").is_file()
+
+    def test_store_without_entry_writes_nothing(self, packed, tmp_path):
+        store = ShardStore(root=tmp_path)
+        assert store.save(packed) is None
+        assert store.load(packed.etag) is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_shard_rejected(self, packed, tmp_path):
         path = write_shard(packed, tmp_path / "t.shard")
@@ -180,6 +192,80 @@ class TestShardRoundTrip:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError):
             load_shard(path)
+
+
+def _quick_config():
+    from repro.analysis.pipeline import StudyConfig
+
+    return StudyConfig.from_scenario(
+        "quick", volume_scale=0.005, background_nvd_count=300
+    )
+
+
+class TestShardInEntry:
+    """The shard is ``study/<key>/shard.frame`` in its published cache
+    entry, so the cache's lifecycle commands cover it with the entry."""
+
+    @pytest.fixture(scope="class")
+    def built_root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("shard-cache")
+        study, built = shard_for_config(_quick_config(), cache_root=root)
+        assert built and study._backing is not None
+        return root
+
+    @pytest.fixture
+    def root(self, built_root, tmp_path):
+        """A private copy of the built cache root."""
+        return Path(shutil.copytree(built_root, tmp_path / "cache"))
+
+    @staticmethod
+    def _probe(root):
+        return shard_for_config(_quick_config(), cache_root=root, build=False)
+
+    def test_shard_is_a_frame_of_its_entry(self, root):
+        study, built = self._probe(root)
+        assert study is not None and not built
+        entry = root / "study" / study.etag
+        assert (entry / "shard.frame").is_file()
+        assert (entry / "meta.json").is_file()
+        assert not list(root.rglob("*.shard"))
+        assert not [path for path in root.rglob("shards") if path.is_dir()]
+
+    def test_cache_clear_drops_the_shard(self, root):
+        assert StudyCache(root=root).clear() == 1
+        assert self._probe(root) == (None, False)
+
+    def test_gc_size_bound_drops_the_shard(self, root):
+        report = StudyCache(root=root).gc(max_bytes=0)
+        assert report.size_evicted == 1
+        assert self._probe(root) == (None, False)
+
+    def test_verify_evict_drops_the_shard(self, root, capsys):
+        (entry,) = (root / "study").iterdir()
+        (entry / "alerts.frame").write_bytes(b"torn")
+        assert main(
+            ["cache", "verify", "--evict", "--cache-dir", str(root)]
+        ) == 0
+        capsys.readouterr()
+        assert self._probe(root) == (None, False)
+
+    def test_stats_bytes_equal_gc_bytes_kept(self, root):
+        cache = StudyCache(root=root)
+        snapshot = cache.stats()
+        (entry,) = snapshot["entries"]
+        shard = root / "study" / entry["key"] / "shard.frame"
+        assert entry["bytes"] > shard.stat().st_size > 0
+        assert snapshot["total_bytes"] == entry["bytes"]
+        assert snapshot["total_bytes"] == cache.gc().bytes_kept
+
+    def test_no_entry_serves_the_in_memory_pack(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            StudyCache, "save", lambda self, config, **_: self.entry_path(config)
+        )
+        study, built = shard_for_config(_quick_config(), cache_root=tmp_path)
+        assert built and study._backing is None and study.n_alerts > 0
+        assert not list(tmp_path.rglob("*.frame"))
+        assert not (tmp_path / "shards").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +332,10 @@ class TestKernelEquivalence:
         )
 
     def test_first_attacks(self, study, columnar):
-        assert kernels.first_attacks(columnar) == first_attacks(
-            study.kept_events
-        )
+        assert {
+            columnar.cves[index]: from_micros(stamp)
+            for index, stamp in kernels.first_attack_micros(columnar).items()
+        } == first_attacks(study.kept_events)
 
     def test_kev_rollup_identical(self, study, columnar):
         ours = kernels.kev_rollup(columnar)
@@ -275,17 +362,21 @@ class TestKernelEquivalence:
 
 def _synthetic_columnar(timelines, bundle):
     """Pack hand-built timelines with no alerts/events/RCA rows."""
-    return ColumnarStudy._pack(
-        etag="test-etag",
-        code="test-code",
-        config={},
-        timelines=timelines,
-        alerts=[],
-        kept_events=[],
-        rca_decisions=[],
-        bundle=bundle,
-        sessions=0,
-        events_total=0,
+    from types import SimpleNamespace
+
+    from repro.analysis.pipeline import StudyConfig
+
+    return ColumnarStudy.from_study(
+        SimpleNamespace(
+            config=StudyConfig(),
+            timelines=timelines,
+            alerts=[],
+            kept_events=[],
+            rca_decisions=[],
+            bundle=bundle,
+            store=[],
+            events=[],
+        )
     )
 
 
